@@ -9,8 +9,7 @@ candidates.
 
 The covariance growth rate uses the scaled-entropy form of the inner
 optimization: (1/n) log2 C(l1 n, v n) tends to l1 h(v / l1), so each
-entropy term carries its scale prefactor.  The unscaled variant is kept
-behind a flag for comparison output only.
+entropy term carries its scale prefactor.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_MAX_ITER = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +41,6 @@ class RatePoint:
 class OptimizerConfig:
     grid_points: int = 16384
     refine_tol: float = 1e-10
-    refine_max_iter: int = 200
 
     def __post_init__(self):
         if self.grid_points < 64:
@@ -124,13 +123,12 @@ def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
 
 
 def golden_section_max(fn: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, max_iter: int = 200
-                       ) -> tuple[float, float]:
+                       tol: float = 1e-10) -> tuple[float, float]:
     """Maximize fn on [a, b]; returns (argmax, value)."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:
@@ -165,8 +163,7 @@ def _sup_on_interval(fn: Callable[[float], float], lo: float, hi: float,
             if ys[i] >= left and ys[i] >= right:
                 a = xs[max(i - 1, 0)]
                 b = xs[min(i + 1, len(xs) - 1)]
-                x, y = golden_section_max(fn, a, b, cfg.refine_tol,
-                                          cfg.refine_max_iter)
+                x, y = golden_section_max(fn, a, b, cfg.refine_tol)
                 if y > best[1]:
                     best = (x, y)
     for x, y in extra_candidates:
@@ -194,7 +191,7 @@ def error_exponent(f: GrowthRate, eps: float,
         tail.append((x, g(x)))
     tx, _ = max(tail, key=lambda t: t[1])
     rx, ry = golden_section_max(g, tx / 2.0, min(tx * 2.0, 1.0),
-                                cfg.refine_tol * tx, cfg.refine_max_iter)
+                                cfg.refine_tol * tx)
     x, y = _sup_on_interval(g, lo, 1.0, cfg,
                             extra_candidates=[(0.0, g.limit0), (rx, ry)])
     return y, x
@@ -236,14 +233,9 @@ def _ab_terms(k: float, l1: float, l2: float, v: float) -> tuple[float, float]:
 
 
 def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
-                    cfg: OptimizerConfig = OptimizerConfig(),
-                    corrected: bool = True) -> float:
+                    cfg: OptimizerConfig = OptimizerConfig()) -> float:
     """T(l1, l2): growth rate of Cov(A_{l1 n}, A_{l2 n}) for the sparse
-    family, as the sup over the normalized overlap.
-
-    corrected=False evaluates the unscaled-entropy variant (comparison
-    output only; not under test).
-    """
+    family, as the sup over the normalized overlap."""
     if rp.k is None:
         raise ValueError("cov_growth_rate needs the sparse parameter k")
     if not (0.0 < l1 <= 1.0 and 0.0 < l2 <= 1.0):
@@ -256,40 +248,12 @@ def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
 
     def q(v: float) -> float:
         a, b = _ab_terms(k, l1, l2, v)
-        if corrected:
-            ent = (binary_entropy(l1) + scaled_entropy(l1, v)
-                   + scaled_entropy(1.0 - l1, l2 - v))
-            inner = _inner_sup_closed(R, a, b)
-        else:
-            ent = (binary_entropy(l1)
-                   + binary_entropy(min(max(v / l1, 0.0), 1.0)))
-            if l1 < 1.0:
-                ent += binary_entropy(
-                    min(max((l2 - v) / (1.0 - l1), 0.0), 1.0))
-            inner = _inner_sup_unscaled(R, a, b, cfg)
-        return -2.0 * (1.0 - R) + ent + inner
+        ent = (binary_entropy(l1) + scaled_entropy(l1, v)
+               + scaled_entropy(1.0 - l1, l2 - v))
+        return -2.0 * (1.0 - R) + ent + _inner_sup_closed(R, a, b)
 
     _, value = _sup_on_interval(q, lo, hi, cfg)
     return value
-
-
-def _inner_sup_unscaled(R: float, a: float, b: float,
-                        cfg: OptimizerConfig) -> float:
-    """Numeric sup of h(mu/(1-R)) + mu log2 a + (1-R-mu) log2 b."""
-    c = 1.0 - R
-    la = math.log2(a) if a > 0.0 else -math.inf
-    lb = math.log2(b)
-
-    def obj(mu: float) -> float:
-        if a == 0.0:
-            return c * lb if mu == 0.0 else -math.inf
-        return binary_entropy(min(mu / c, 1.0)) + mu * la + (c - mu) * lb
-    if a == 0.0:
-        return c * lb
-    _, y = _sup_on_interval(obj, 0.0, c,
-                            OptimizerConfig(grid_points=256,
-                                            refine_tol=cfg.refine_tol))
-    return y
 
 
 def var_pu_growth_rate(rp: RatePoint, eps: float,
@@ -325,10 +289,10 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
     for _ in range(4):
         l1, _ = golden_section_max(lambda x: s(x, l2),
                                    max(l1 - span, 1e-9), min(l1 + span, 1.0),
-                                   cfg.refine_tol, cfg.refine_max_iter)
+                                   cfg.refine_tol)
         l2, _ = golden_section_max(lambda x: s(l1, x),
                                    max(l2 - span, 1e-9), min(l2 + span, 1.0),
-                                   cfg.refine_tol, cfg.refine_max_iter)
+                                   cfg.refine_tol)
         span /= 8.0
     y = max(y, s(l1, l2))
     return y

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -188,24 +187,16 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_sim(args) -> None:
-    ens = _ensemble(args)
-    if args.channel_trials == 0:
-        stats = mc.sample_pu_stats(ens, args.eps, args.samples,
-                                   seed=args.seed, workers=args.workers)
-        rows = []
-        for eps in args.eps:
-            s = stats[eps]
-            rows.append([eps, s.mean, s.mean_se, s.variance, s.variance_se,
-                         s.count, "exact", args.seed])
-    else:
-        rows = []
-        for eps in args.eps:
-            cfg = mc.SimConfig(ens, eps, args.samples,
-                               channel_trials=args.channel_trials,
-                               seed=args.seed, workers=args.workers)
-            r = mc.estimate_pu_distribution(cfg)
-            rows.append([eps, r["mean"], r["mean_se"], r["var"], r["var_se"],
-                         r["samples"], r["mode"], r["seed"]])
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2: the variance needs at "
+                         "least two matrices")
+    stats = mc.sample_pu_stats(_ensemble(args), args.eps, args.samples,
+                               args.seed, args.channel_trials)
+    rows = []
+    for eps in args.eps:
+        r = mc.pu_report(eps, stats[eps], args.channel_trials, args.seed)
+        rows.append([eps, r["mean"], r["mean_se"], r["var"], r["var_se"],
+                     r["samples"], r["mode"], r["seed"]])
     _emit(args, ["eps", "mean", "mean_se", "var", "var_se", "samples",
                  "mode", "seed"], rows)
 
@@ -274,11 +265,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of CSV")
     p.add_argument("-o", "--output", default=None, help="output file")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("UDE_WORKERS", "1")),
-                   help="parallelism cap (default $UDE_WORKERS or 1)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for commands with randomness")
 
 
 def _add_mnk(p: argparse.ArgumentParser) -> None:
@@ -380,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--channel-trials", type=int, default=0,
                    help="BSC trials per matrix; 0 = exact per-matrix P_U")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(p)
     p.set_defaults(fn=_cmd_sim)
 

@@ -253,7 +253,8 @@ def weight_distribution(h: BitMatrix,
             f"2^{d} codewords exceed the enumeration budget 2^{budget_log2}")
     counts = _weight_histogram([b.bits for b in basis], h.n)
     wd = WeightDistribution(h.n, tuple(counts))
-    assert wd.total() == 1 << d
+    if wd.total() != 1 << d:
+        raise ArithmeticError(f"{wd.total()} codewords counted, expected 2^{d}")
     return wd
 
 

@@ -7,9 +7,10 @@ interest).  Channel-sampling mode exists for block lengths beyond the
 codeword-enumeration budget; its report carries the within-matrix
 sampling variance so the between-matrix variance can be debiased.
 
-Reproducibility: worker substreams are counter-based Philox streams
-derived from (seed, worker index), so identical (seed, workers) yields
-identical output.
+One loop samples the matrices for both modes and scores each one at
+every eps, so all eps values see the same matrices.  Reproducibility: the
+matrices and channel trials come from one counter-based Philox stream
+keyed by the seed, so the output depends only on the seed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import BernoulliEnsemble
-from .gf2 import (DEFAULT_ENUM_BUDGET_LOG2, BitMatrix, pu_from_weights,
-                  weight_distribution)
+from .ensemble import BernoulliEnsemble, Bsc
+from .gf2 import BitMatrix, pu_from_weights, weight_distribution
 
 # Two-sided normal level for the +-4 standard error intervals reported.
 CI_Z = 4.0
@@ -36,17 +36,6 @@ class SimConfig:
     matrix_samples: int
     channel_trials: int = 0      # 0 = exact per-matrix P_U
     seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 0.5:
-            raise ValueError(f"need 0 < eps < 1/2, got {self.eps}")
-        if self.matrix_samples < 1:
-            raise ValueError("matrix_samples must be >= 1")
-        if self.channel_trials < 0:
-            raise ValueError("channel_trials must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -108,7 +97,7 @@ class SampleStats:
 
 
 def worker_rng(seed: int, worker: int) -> np.random.Generator:
-    """Counter-based substream for one worker; stable per (seed, worker)."""
+    """Counter-based Philox substream, stable per (seed, worker)."""
     return np.random.Generator(np.random.Philox(key=seed).jumped(worker))
 
 
@@ -121,28 +110,33 @@ def sample_matrix(ens: BernoulliEnsemble, rng: np.random.Generator) -> BitMatrix
     return BitMatrix(ens.m, ens.n, rows)
 
 
-def _worker_ranges(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
 def sample_pu_stats(ens: BernoulliEnsemble, eps_list: Sequence[float],
-                    matrix_samples: int, seed: int = 0, workers: int = 1,
-                    budget_log2: int = DEFAULT_ENUM_BUDGET_LOG2
-                    ) -> dict[float, SampleStats]:
-    """Exact per-matrix P_U across a list of eps values, sharing the
-    sampled matrices (the weight distribution is computed once each)."""
+                    matrix_samples: int, seed: int = 0,
+                    channel_trials: int = 0) -> dict[float, SampleStats]:
+    """P_U statistics per eps over matrices shared by every eps.
+
+    Exact mode (channel_trials = 0) scores each matrix from its weight
+    distribution, computed once; channel mode runs channel_trials BSC
+    transmissions through the matrix for each eps.
+    """
+    for eps in eps_list:
+        Bsc(eps)  # raises unless 0 < eps < 1/2
+    if matrix_samples < 1:
+        raise ValueError("matrix_samples must be >= 1")
+    if channel_trials < 0:
+        raise ValueError("channel_trials must be >= 0")
     stats = {eps: SampleStats() for eps in eps_list}
-    for widx, nsamp in enumerate(_worker_ranges(matrix_samples, workers)):
-        rng = worker_rng(seed, widx)
-        part = {eps: SampleStats() for eps in eps_list}
-        for _ in range(nsamp):
-            h = sample_matrix(ens, rng)
-            wd = weight_distribution(h, budget_log2)
-            for eps in eps_list:
-                part[eps].update(pu_from_weights(wd.counts, ens.n, eps))
-        for eps in eps_list:
-            stats[eps].merge(part[eps])
+    rng = worker_rng(seed, 0)
+    for _ in range(matrix_samples):
+        h = sample_matrix(ens, rng)
+        if channel_trials:
+            for eps, s in stats.items():
+                s.update(estimate_pu_channel(h, eps, channel_trials,
+                                             rng)["estimate"])
+        else:
+            wd = weight_distribution(h)
+            for eps, s in stats.items():
+                s.update(pu_from_weights(wd.counts, ens.n, eps))
     return stats
 
 
@@ -177,48 +171,38 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
     }
 
 
-def estimate_pu_distribution(cfg: SimConfig,
-                             budget_log2: int = DEFAULT_ENUM_BUDGET_LOG2
-                             ) -> dict:
-    """Mean and variance of P_U over sampled matrices, with 4-SE normal
+def pu_report(eps: float, stats: SampleStats, channel_trials: int,
+              seed: int) -> dict:
+    """Mean and variance of P_U from sample_pu_stats, with 4-SE normal
     confidence intervals."""
-    ens = cfg.ensemble
-    if cfg.channel_trials == 0:
-        stats = sample_pu_stats(ens, [cfg.eps], cfg.matrix_samples,
-                                cfg.seed, cfg.workers, budget_log2)[cfg.eps]
-        within_var = 0.0
-        mode = "exact"
-    else:
-        stats = SampleStats()
-        within = []
-        for widx, nsamp in enumerate(
-                _worker_ranges(cfg.matrix_samples, cfg.workers)):
-            rng = worker_rng(cfg.seed, widx)
-            for _ in range(nsamp):
-                h = sample_matrix(ens, rng)
-                rep = estimate_pu_channel(h, cfg.eps, cfg.channel_trials, rng)
-                stats.update(rep["estimate"])
-                within.append(rep["se"] ** 2)
-        within_var = float(np.mean(within))
-        mode = "channel"
-    mean_se = stats.mean_se
     # In channel mode the plug-in variance includes the per-matrix
-    # sampling noise; subtracting its average debiases it.
-    var_between = stats.variance - within_var
+    # sampling noise p(1-p)/T; subtracting its average debiases it.  The
+    # average of p(1-p) over the matrices is mean (1 - mean) - m2 / count.
+    within_var = 0.0
+    if channel_trials:
+        within_var = (stats.mean * (1.0 - stats.mean)
+                      - stats.m2 / stats.count) / channel_trials
+    mean_se = stats.mean_se
     return {
-        "eps": cfg.eps,
+        "eps": eps,
         "mean": stats.mean,
         "mean_se": mean_se,
         "mean_ci_low": stats.mean - CI_Z * mean_se,
         "mean_ci_high": stats.mean + CI_Z * mean_se,
-        "var": var_between,
+        "var": stats.variance - within_var,
         "var_se": stats.variance_se,
         "within_matrix_var": within_var,
         "ci_level": CI_LEVEL,
         "min": stats.min,
         "max": stats.max,
         "samples": stats.count,
-        "mode": mode,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
+        "mode": "channel" if channel_trials else "exact",
+        "seed": seed,
     }
+
+
+def estimate_pu_distribution(cfg: SimConfig) -> dict:
+    """pu_report for the single eps of cfg."""
+    stats = sample_pu_stats(cfg.ensemble, [cfg.eps], cfg.matrix_samples,
+                            cfg.seed, cfg.channel_trials)
+    return pu_report(cfg.eps, stats[cfg.eps], cfg.channel_trials, cfg.seed)

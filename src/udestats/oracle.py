@@ -27,7 +27,8 @@ from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import BitVector
 from .rational import RationalPoly
 
-DEFAULT_ORACLE_GUARD_BITS = 24
+# Largest m*n enumerated; 2^(m n) matrices are held in memory at once.
+_GUARD_BITS = 24
 
 
 class GuardExceededError(RuntimeError):
@@ -141,13 +142,11 @@ def _weight_class_sums(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _class_sums_cache[key]
 
 
-def enumerate_ensemble(m: int, n: int, k,
-                       guard_bits: int = DEFAULT_ORACLE_GUARD_BITS
-                       ) -> EnsembleMoments:
+def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     """Exact moments by iterating all 2^(m n) matrices."""
-    if m * n > guard_bits:
+    if m * n > _GUARD_BITS:
         raise GuardExceededError(
-            f"2^{m * n} matrices exceed the oracle guard 2^{guard_bits}")
+            f"2^{m * n} matrices exceed the oracle guard 2^{_GUARD_BITS}")
     k = _check_k(n, Fraction(k))
     p = k / n
     mn = m * n

@@ -138,14 +138,6 @@ def test_cov_growth_rate_domain():
         cov_growth_rate(RatePoint(0.5), 0.5, 0.5)  # k missing
 
 
-def test_cov_growth_rate_uncorrected_variant_differs():
-    rp = RatePoint(0.5, 4.0)
-    corrected = cov_growth_rate(rp, 0.5, 0.5, FAST)
-    uncorrected = cov_growth_rate(rp, 0.5, 0.5, FAST, corrected=False)
-    assert math.isfinite(corrected) and math.isfinite(uncorrected)
-    assert corrected != uncorrected
-
-
 def test_var_pu_growth_rate_bounds():
     rp = RatePoint(0.5, 4.0)
     cfg = OptimizerConfig(grid_points=256, refine_tol=1e-8)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 
+import pytest
+
 from udestats.cli import main
 
 
@@ -145,6 +147,36 @@ def test_sim_determinism(capsys):
     assert out1 == out2
     _, out3, _ = run_cli(capsys, *args[:-1] + ("5",))
     assert out3 != out1
+
+
+def test_sim_rejects_bad_input_cleanly(capsys):
+    base = ("sim", "--m", "3", "--n", "6", "--k", "1.5")
+    for mode in ((), ("--channel-trials", "100")):
+        for eps, samples in (("0", "20"), ("0.7", "20"), ("0.1", "0"),
+                             ("0.1", "1")):
+            code, out, err = run_cli(capsys, *base, "--eps", eps,
+                                     "--samples", samples, *mode)
+            assert code == 1 and out == ""
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
+    _, _, err = run_cli(capsys, *base, "--eps", "0.1", "--samples", "1")
+    assert "at least two matrices" in err
+
+
+def test_sim_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--m", "3", "--n", "6", "--k", "1.5", "--eps", "0.1",
+              "--samples", "20", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_seed_only_on_sim(capsys, monkeypatch):
+    monkeypatch.setenv("UDE_WORKERS", "abc")
+    code, out, _ = run_cli(capsys, "awd", "--m", "1", "--n", "2", "--k", "1")
+    assert code == 0 and out.startswith("w,")
+    with pytest.raises(SystemExit):
+        main(["awd", "--m", "1", "--n", "2", "--k", "1", "--seed", "3"])
 
 
 def test_output_file(capsys, tmp_path):

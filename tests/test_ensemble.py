@@ -1,18 +1,22 @@
 """Closed-form finite-size ensemble statistics."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udestats.oracle as oracle
-from udestats.ensemble import (BernoulliEnsemble, Bsc, LinearStatistic,
-                               OverlapRangeError, avg_pu, avg_weight,
-                               cov_matrix, cov_weight, finite_n_exponent,
-                               joint_pass_prob, second_moment_weight,
-                               var_linear_statistic, var_pu, var_pu_from_cov)
+from udestats.ensemble import (BernoulliEnsemble, Bsc, OverlapRangeError,
+                               avg_pu, avg_weight, cov_matrix, cov_weight,
+                               finite_n_exponent, joint_pass_prob, log2_binom,
+                               second_moment_weight, var_pu, var_pu_from_cov)
 
 
 class _ForcedGeneric(BernoulliEnsemble):
@@ -143,23 +147,50 @@ def test_var_pu_from_cov_partition_independence():
 
 
 def test_var_linear_statistic_specializes_to_var_pu():
+    # Var[P_U] = sum over (w1, w2) of Cov(A_w1, A_w2) alpha(w1) alpha(w2)
+    # with alpha(w) = eps^w (1-eps)^(n-w), summed in the linear domain.
     ens = BernoulliEnsemble(5, 14, 3.0)
+    n = ens.n
     for eps in (0.05, 0.2, 0.4):
-        stat = LinearStatistic.for_pu(ens.n, eps)
-        lin = var_linear_statistic(ens, stat)
+        alpha = [eps ** w * (1 - eps) ** (n - w) for w in range(n + 1)]
+        lin = math.fsum(
+            (1.0 if w1 == w2 else 2.0) * cov_weight(ens, w1, w2).to_float()
+            * alpha[w1] * alpha[w2]
+            for w1 in range(1, n + 1) for w2 in range(w1, n + 1))
         assert math.isclose(lin, var_pu(ens, Bsc(eps)).to_float(),
                             rel_tol=1e-10)
 
 
-def test_var_linear_statistic_general():
-    # X = number of nonzero codewords: variance from the covariance matrix
-    ens = BernoulliEnsemble(3, 8, 2.0)
-    stat = LinearStatistic(lambda w: 0.0 if w == 0 else 1.0)
-    got = var_linear_statistic(ens, stat)
-    expect = math.fsum(
-        (1.0 if w1 == w2 else 2.0) * cov_weight(ens, w1, w2).to_float()
-        for w1 in range(1, 9) for w2 in range(w1, 9))
-    assert math.isclose(got, expect, rel_tol=1e-12)
+@pytest.mark.parametrize("n", [1025, 2000, 5000])
+def test_log2_binom_precise_at_large_n(n):
+    mpmath.mp.dps = 50
+    for w in (1, 7, n // 3, n // 2, n - 2):
+        ref = mpmath.log(mpmath.binomial(n, w), 2)
+        got = log2_binom(n, w)
+        assert abs(got - ref) <= 1e-14 * abs(ref), (n, w)
+
+
+def test_cross_checks_survive_optimize_flag():
+    # A wrong closed form must be raised even when asserts are compiled out.
+    script = (
+        "import sys\n"
+        "if __debug__: sys.exit('not running under -O')\n"
+        "import udestats.ensemble as e\n"
+        "from udestats.logreal import LogReal\n"
+        "e._avg_pu_random_closed = lambda m, n, eps: LogReal(0.0)\n"
+        "try:\n"
+        "    e.avg_pu(e.BernoulliEnsemble.random(3, 6), e.Bsc(0.1))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: summation"), res.stdout
 
 
 def test_random_closed_forms_small():

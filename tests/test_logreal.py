@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from udestats.logreal import LogReal, log2_expm1_exp, log2_sum, logreal_sum
@@ -47,12 +47,17 @@ def test_add_matches_float(a, b):
 
 
 @given(positive, positive)
+@example(1.0000000000000002e-300, 1e-300)  # distinct values, equal log2
 def test_div_and_ordering(a, b):
     la, lb = LogReal.from_float(a), LogReal.from_float(b)
     assert math.isclose((la / lb).log2, math.log2(a) - math.log2(b),
                         rel_tol=1e-14, abs_tol=1e-12)
-    assert (la < lb) == (a < b)
-    assert (la <= lb) == (a <= b)
+    # Nearby values can share a log2, so the log domain keeps order only
+    # monotonically: a < b implies la <= lb, and la < lb implies a < b.
+    if a < b:
+        assert la <= lb
+    if la < lb:
+        assert a < b
 
 
 def test_div_by_zero():

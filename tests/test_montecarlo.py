@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from udestats.ensemble import BernoulliEnsemble
 from udestats.gf2 import BitMatrix
 from udestats.montecarlo import (SampleStats, SimConfig, estimate_pu_channel,
-                                 estimate_pu_distribution, sample_matrix,
-                                 sample_pu_stats, worker_rng)
+                                 estimate_pu_distribution, pu_report,
+                                 sample_matrix, sample_pu_stats, worker_rng)
 from udestats.oracle import enumerate_ensemble
 
 floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -21,15 +21,18 @@ floats = st.floats(min_value=-1e6, max_value=1e6,
 
 
 def test_config_validation():
+    # One validation on the sampling path, for both modes.
     ens = BernoulliEnsemble(2, 4, 1.0)
+    for trials in (0, 100):
+        for eps, samples in ((0.6, 10), (0.0, 10), (0.1, 0)):
+            with pytest.raises(ValueError):
+                estimate_pu_distribution(
+                    SimConfig(ens, eps, samples, channel_trials=trials))
+            with pytest.raises(ValueError):
+                sample_pu_stats(ens, [0.1, eps], samples,
+                                channel_trials=trials)
     with pytest.raises(ValueError):
-        SimConfig(ens, 0.6, 10)
-    with pytest.raises(ValueError):
-        SimConfig(ens, 0.1, 0)
-    with pytest.raises(ValueError):
-        SimConfig(ens, 0.1, 10, channel_trials=-1)
-    with pytest.raises(ValueError):
-        SimConfig(ens, 0.1, 10, workers=0)
+        estimate_pu_distribution(SimConfig(ens, 0.1, 10, channel_trials=-1))
 
 
 def test_sample_stats_against_statistics_module():
@@ -123,7 +126,7 @@ def test_exact_mode_matches_oracle_mean():
 
 def test_shared_matrices_across_eps():
     ens = BernoulliEnsemble(4, 8, 2.0)
-    stats = sample_pu_stats(ens, [0.05, 0.2], 300, seed=5, workers=2)
+    stats = sample_pu_stats(ens, [0.05, 0.2], 300, seed=5)
     assert stats[0.05].count == 300 and stats[0.2].count == 300
     # same matrices evaluated at a larger eps give larger P_U means here
     assert stats[0.2].mean > stats[0.05].mean
@@ -131,10 +134,10 @@ def test_shared_matrices_across_eps():
 
 def test_report_determinism():
     ens = BernoulliEnsemble(4, 8, 2.0)
-    r1 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=9, workers=3))
-    r2 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=9, workers=3))
+    r1 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=9))
+    r2 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=9))
     assert r1 == r2
-    r3 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=10, workers=3))
+    r3 = estimate_pu_distribution(SimConfig(ens, 0.1, 500, seed=10))
     assert r3["mean"] != r1["mean"]
 
 
@@ -170,3 +173,26 @@ def test_channel_mode_debiasing():
 def test_channel_estimator_validation():
     with pytest.raises(ValueError):
         estimate_pu_channel(BitMatrix.identity(2), 0.1, 0, worker_rng(0, 0))
+
+
+def test_channel_mode_replays_one_stream():
+    # Channel mode draws each matrix, then its trials for every eps in
+    # turn, from the one seeded stream.
+    ens = BernoulliEnsemble(3, 6, 1.5)
+    eps_list, samples, trials = [0.05, 0.2], 30, 500
+    stats = sample_pu_stats(ens, eps_list, samples, seed=4,
+                            channel_trials=trials)
+    rng = worker_rng(4, 0)
+    expect = {eps: SampleStats() for eps in eps_list}
+    within = {eps: [] for eps in eps_list}
+    for _ in range(samples):
+        h = sample_matrix(ens, rng)
+        for eps in eps_list:
+            rep = estimate_pu_channel(h, eps, trials, rng)
+            expect[eps].update(rep["estimate"])
+            within[eps].append(rep["se"] ** 2)
+    for eps in eps_list:
+        assert stats[eps] == expect[eps]
+        r = pu_report(eps, stats[eps], trials, 4)
+        assert math.isclose(r["within_matrix_var"], math.fsum(within[eps])
+                            / samples, rel_tol=1e-12)
