@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", action="store_true",
                    help="emit the exact polynomial coefficients instead")
     p.add_argument("--enum-budget", type=int, default=28,
-                   help="log2 codeword enumeration budget")
+                   help="log2 budget on words enumerated (codewords or "
+                   "row-space words, whichever is fewer)")
     _add_common(p)
     p.set_defaults(fn=_cmd_exact_pu)
 

@@ -1,15 +1,21 @@
 """Exact per-matrix computations over GF(2).
 
 Rows are bit-packed into Python integers (bit j of a row = column j), so
-XOR-based elimination and codeword enumeration are cheap for n up to a
-few thousand.  Weight distributions are exact integer counts obtained by
-enumerating the nullspace; the enumeration cost 2^(n - rank) is bounded
-by an explicit, configurable budget.
+XOR-based elimination and word enumeration are cheap for n up to a few
+thousand.  Weight distributions are exact integer counts.  One reduced
+echelon form gives the rank r; then whichever side is smaller is
+enumerated: the 2^(n - r) codewords of the nullspace, or the 2^r words of
+the row space, whose weights B_j give the A_w through the exact integer
+MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n) (MacWilliams & Sloane
+1977, ch. 5).  The cost 2^min(r, n - r) is bounded by an explicit,
+configurable budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +28,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when 2^(n - rank) codewords would exceed the enumeration budget."""
+    """Raised when 2^min(rank, n - rank) words would exceed the budget."""
 
 
 class MatrixFormatError(ValueError):
@@ -171,20 +177,26 @@ def rank(h: BitMatrix) -> int:
     return len(pivots)
 
 
-def nullspace_basis(h: BitMatrix) -> list[BitVector]:
-    """n - rank(H) independent vectors spanning {x : H x^t = 0}."""
-    rows, pivot_cols = _reduced_echelon(list(h.rows), h.n)
+def _nullspace_bits(rows: list[int], pivot_cols: list[int], n: int
+                    ) -> list[int]:
+    """Nullspace basis, bit-packed, from an RREF and its pivot columns."""
     pivot_set = set(pivot_cols)
     basis = []
-    for free in range(h.n):
+    for free in range(n):
         if free in pivot_set:
             continue
         x = 1 << free
         for j, col in enumerate(pivot_cols):
             if (rows[j] >> free) & 1:
                 x |= 1 << col
-        basis.append(BitVector(h.n, x))
+        basis.append(x)
     return basis
+
+
+def nullspace_basis(h: BitMatrix) -> list[BitVector]:
+    """n - rank(H) independent vectors spanning {x : H x^t = 0}."""
+    rows, pivot_cols = _reduced_echelon(list(h.rows), h.n)
+    return [BitVector(h.n, x) for x in _nullspace_bits(rows, pivot_cols, h.n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,12 +221,14 @@ def _int_to_words(x: int, words: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-# Low-order basis combinations materialized in one array; high-order bits
-# walked by Gray code so each chunk differs from the last by one XOR.
-_LOW_BLOCK_LOG2 = 20
+# Low-order basis combinations materialized in one cache-sized block (2^16
+# uint64 words, 512 KB); high-order bits walked by Gray code so each step
+# differs from the last by one XOR into reused buffers.
+_LOW_BLOCK_LOG2 = 16
 
 
 def _weight_histogram(basis_bits: list[int], n: int) -> list[int]:
+    """Weight counts of all 2^d combinations of the d basis words."""
     d = len(basis_bits)
     words = (n + 63) // 64
     low_d = min(d, _LOW_BLOCK_LOG2)
@@ -224,34 +238,70 @@ def _weight_histogram(basis_bits: list[int], n: int) -> list[int]:
         np.bitwise_xor(arr[:size], _int_to_words(b, words)[None, :],
                        out=arr[size:2 * size])
         size *= 2
-    flat = arr[:, 0] if words == 1 else None
+    if words == 1:
+        arr = arr[:, 0]
+    block = np.empty_like(arr)
+    ones = np.empty(arr.shape, dtype=np.intp)
+    w = ones if words == 1 else np.empty(1 << low_d, dtype=np.intp)
     hist = np.zeros(n + 1, dtype=np.int64)
     prefix = 0
-    steps = 1 << (d - low_d)
-    for step in range(steps):
+    for step in range(1 << (d - low_d)):
         if step:
             prefix ^= basis_bits[low_d + (step & -step).bit_length() - 1]
-        if words == 1:
-            block = flat if prefix == 0 else flat ^ np.uint64(prefix)
-            w = np.bitwise_count(block)
-        else:
-            block = arr if prefix == 0 else \
-                arr ^ _int_to_words(prefix, words)[None, :]
-            w = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        hist += np.bincount(w, minlength=n + 1)[:n + 1]
+        np.bitwise_xor(arr, _int_to_words(prefix, words), out=block)
+        np.bitwise_count(block, out=ones)
+        if words > 1:
+            np.sum(ones, axis=1, out=w)
+        hist += np.bincount(w, minlength=n + 1)
     return [int(c) for c in hist]
+
+
+# Columns are cached one by one, so a large n holds only the columns of
+# the row-space weights that occur.
+@functools.lru_cache(maxsize=512)
+def _krawtchouk_column(n: int, j: int) -> tuple[int, ...]:
+    """K_w(j; n) for w = 0..n, the coefficients of (1-z)^j (1+z)^(n-j),
+    from (w+1) K_{w+1}(j) = (n-2j) K_w(j) - (n-w+1) K_{w-1}(j)."""
+    col = [1, n - 2 * j]
+    for w in range(1, n):
+        col.append(((n - 2 * j) * col[w] - (n - w + 1) * col[w - 1])
+                   // (w + 1))
+    return tuple(col)
+
+
+def _macwilliams(row_space_counts: list[int], n: int, r: int) -> list[int]:
+    """A_w of the dual of a rank-r row space with weight counts B_j."""
+    weights = [j for j, b in enumerate(row_space_counts) if b]
+    b = [row_space_counts[j] for j in weights]
+    cols = [_krawtchouk_column(n, j) for j in weights]
+    counts = []
+    for w, k_row in enumerate(zip(*cols)):
+        a, rem = divmod(sum(map(operator.mul, b, k_row)), 1 << r)
+        if rem:
+            raise ArithmeticError(
+                f"MacWilliams numerator of A_{w} is not divisible by 2^{r}")
+        counts.append(a)
+    return counts
 
 
 def weight_distribution(h: BitMatrix,
                         budget_log2: int = DEFAULT_ENUM_BUDGET_LOG2
                         ) -> WeightDistribution:
-    """Exact A_w by enumerating the 2^(n - rank) codewords of C(H)."""
-    basis = nullspace_basis(h)
-    d = len(basis)
-    if d > budget_log2:
+    """Exact A_w of C(H) from whichever of the code (2^(n - r) codewords)
+    and the row space (2^r words, then MacWilliams) is smaller; ties
+    enumerate the code.  budget_log2 bounds min(r, n - r)."""
+    rows, pivot_cols = _reduced_echelon(list(h.rows), h.n)
+    r = len(pivot_cols)
+    d = h.n - r
+    if min(r, d) > budget_log2:
         raise EnumerationBudgetError(
-            f"2^{d} codewords exceed the enumeration budget 2^{budget_log2}")
-    counts = _weight_histogram([b.bits for b in basis], h.n)
+            f"2^{d} codewords and 2^{r} row-space words both exceed the "
+            f"enumeration budget 2^{budget_log2}")
+    if r < d:
+        counts = _macwilliams(_weight_histogram(rows[:r], h.n), h.n, r)
+    else:
+        counts = _weight_histogram(_nullspace_bits(rows, pivot_cols, h.n),
+                                   h.n)
     wd = WeightDistribution(h.n, tuple(counts))
     if wd.total() != 1 << d:
         raise ArithmeticError(f"{wd.total()} codewords counted, expected 2^{d}")
@@ -267,13 +317,24 @@ def undetected_error_prob(h: BitMatrix, eps: float,
     return pu_from_weights(wd.counts, h.n, eps)
 
 
+# A count of 2^53 or more (reachable through the row space) is folded into
+# the exponent: from n of about a thousand on, it can overflow a float and
+# its probability alone can underflow.
+_FLOAT_EXACT_INT = 1 << 53
+
+
 def pu_from_weights(counts, n: int, eps: float) -> float:
     """Evaluate the undetected error probability from known counts A_w."""
     log_eps = math.log(eps)
     log_1me = math.log1p(-eps)
-    return math.fsum(
-        counts[w] * math.exp(w * log_eps + (n - w) * log_1me)
-        for w in range(1, n + 1) if counts[w])
+    terms = []
+    for w in range(1, n + 1):
+        c = counts[w]
+        if c:
+            log_p = w * log_eps + (n - w) * log_1me
+            terms.append(c * math.exp(log_p) if c < _FLOAT_EXACT_INT
+                         else math.exp(math.log(c) + log_p))
+    return math.fsum(terms)
 
 
 def pu_polynomial(h: BitMatrix,

@@ -3,9 +3,10 @@
 Default estimator: sample matrices and compute each one's undetected
 error probability exactly from its weight distribution, which removes
 channel noise entirely (the between-matrix variance is the quantity of
-interest).  Channel-sampling mode exists for block lengths beyond the
-codeword-enumeration budget; its report carries the within-matrix
-sampling variance so the between-matrix variance can be debiased.
+interest).  Channel-sampling mode exists for shapes whose code and row
+space both exceed the enumeration budget; its report carries the
+within-matrix sampling variance so the between-matrix variance can be
+debiased.
 
 One loop samples the matrices for both modes and scores each one at
 every eps, so all eps values see the same matrices.  Reproducibility: the
@@ -24,7 +25,8 @@ import numpy as np
 from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import BitMatrix, pu_from_weights, weight_distribution
 
-# Two-sided normal level for the +-4 standard error intervals reported.
+# Two-sided normal level of the z = 4 intervals reported: +-4 standard
+# errors for sample means, Wilson score intervals for channel hit rates.
 CI_Z = 4.0
 CI_LEVEL = 0.9999367
 
@@ -147,25 +149,33 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
         raise ValueError("trials must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"need 0 < eps < 1/2, got {eps}")
+    # The syndrome is a float32 BLAS product reduced mod 2: every sum is an
+    # integer of at most n, so it is exact.  Generator.random fills
+    # sequentially, so the chunk size does not change the draws.
     ht = np.array([[(r >> j) & 1 for r in h.rows] for j in range(h.n)],
-                  dtype=np.uint8)
+                  dtype=np.float32)
     hits = 0
     remaining = trials
-    chunk = 1 << 16
+    chunk = 1 << 12
     while remaining > 0:
         t = min(chunk, remaining)
-        errs = (rng.random((t, h.n)) < eps).astype(np.uint8)
-        syndrome = (errs @ ht) & 1
+        errs = (rng.random((t, h.n)) < eps).astype(np.float32)
+        syndrome = np.fmod(errs @ ht, 2.0)
         undetected = (~syndrome.any(axis=1)) & errs.any(axis=1)
         hits += int(undetected.sum())
         remaining -= t
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    # Wilson score interval at z = CI_Z: unlike p_hat +- z se it keeps a
+    # positive upper end when no trial goes undetected (Wilson 1927).
+    z2 = CI_Z * CI_Z / trials
+    center = (p_hat + z2 / 2) / (1 + z2)
+    half = CI_Z * math.sqrt(se * se + z2 / (4 * trials)) / (1 + z2)
     return {
         "estimate": p_hat,
         "se": se,
-        "ci_low": max(0.0, p_hat - CI_Z * se),
-        "ci_high": min(1.0, p_hat + CI_Z * se),
+        "ci_low": 0.0 if hits == 0 else max(0.0, center - half),
+        "ci_high": min(1.0, center + half),
         "ci_level": CI_LEVEL,
         "trials": trials,
     }

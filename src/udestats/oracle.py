@@ -9,8 +9,9 @@ coefficient).
 
 The per-matrix weight distributions are obtained by direct enumeration of
 all 2^n candidate codewords against all matrices at once (vectorized),
-which is an independent route from the nullspace-enumeration path in
-gf2 — the two are cross-checked in the test suite.
+which is an independent route from gf2's enumeration of the code or of
+the row space (with the MacWilliams transform) — the two are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import BitVector
 from .rational import RationalPoly
 
-# Largest m*n enumerated; 2^(m n) matrices are held in memory at once.
-_GUARD_BITS = 24
+# All 2^(m n) matrices are held in memory at once; shapes whose
+# enumeration would peak above this many bytes are refused up front.
+_PEAK_BYTES_LIMIT = 2 << 30
+# Candidate codewords checked against every matrix per vectorized step.
+_X_BLOCK = 64
 
 
 class GuardExceededError(RuntimeError):
-    """Enumeration size beyond the configured exhaustive-search guard."""
+    """Enumeration that would need more memory than the oracle allows."""
 
 
 def _check_k(n: int, k: Fraction) -> Fraction:
@@ -60,6 +64,29 @@ class EnsembleMoments:
     @property
     def p(self) -> Fraction:
         return self.k / self.n
+
+
+def _peak_bytes(m: int, n: int) -> int:
+    """Estimated peak bytes of _weight_class_sums(m, n) on its first call,
+    for m n < 64 (matrix ids are uint64).
+
+    Per matrix, the generic path holds its id, its m rows, its ones count
+    and its n + 1 counts, plus about 7 bytes per candidate codeword of
+    one x block while the block's parities are formed (the uint32 AND,
+    its popcount, the parity, the mask and the running mask) and 8 bytes
+    per weight sum.  The single-row path holds the candidate words with
+    their popcounts and parity temporaries, and the gathered counts.
+    Grouping by ones count then copies the largest class of counts, and
+    its Gram product copies it once more.
+    """
+    num = 1 << (m * n)
+    row = 8 * (n + 1)
+    if m == 1:
+        enum = num * (4 + 1 + 8 + 7 + row)
+    else:
+        enum = num * (8 + 4 * m + 8 + row + 7 * min(_X_BLOCK, 1 << n) + 8)
+    group = num * (row + 8 + 1) + 2 * math.comb(m * n, m * n // 2) * row
+    return max(enum, group)
 
 
 def _per_matrix_weight_counts(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +134,13 @@ def _per_matrix_weight_counts_generic(m: int, n: int
     xs = np.arange(1 << n, dtype=np.uint32)
     wt_x = np.bitwise_count(xs)
     counts = np.zeros((num, n + 1), dtype=np.int64)
-    block = 64
-    for start in range(0, 1 << n, block):
-        xb = xs[start:start + block]
+    for start in range(0, 1 << n, _X_BLOCK):
+        xb = xs[start:start + _X_BLOCK]
         valid = np.ones((num, len(xb)), dtype=bool)
         for r in rows:
             par_even = (np.bitwise_count(r[:, None] & xb[None, :]) & 1) == 0
             valid &= par_even
-        wb = wt_x[start:start + block]
+        wb = wt_x[start:start + _X_BLOCK]
         for w in np.unique(wb):
             cols = np.nonzero(wb == w)[0]
             counts[:, w] += valid[:, cols].sum(axis=1)
@@ -144,9 +170,10 @@ def _weight_class_sums(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     """Exact moments by iterating all 2^(m n) matrices."""
-    if m * n > _GUARD_BITS:
+    if m * n >= 64 or _peak_bytes(m, n) > _PEAK_BYTES_LIMIT:
         raise GuardExceededError(
-            f"2^{m * n} matrices exceed the oracle guard 2^{_GUARD_BITS}")
+            f"enumerating 2^{m * n} matrices needs more than the oracle's "
+            f"{_PEAK_BYTES_LIMIT >> 30} GiB memory limit")
     k = _check_k(n, Fraction(k))
     p = k / n
     mn = m * n

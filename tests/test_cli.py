@@ -104,6 +104,7 @@ def test_domain_errors_exit_nonzero(capsys):
         ("exponent", "--family", "bernoulli", "--rate", "0.5",
          "--eps", "0.1"),
         ("oracle", "--m", "5", "--n", "5", "--k", "1"),
+        ("oracle", "--m", "3", "--n", "8", "--k", "2"),  # about 9 GiB
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
     ]
     for argv in cases:

@@ -1,15 +1,18 @@
 """Bit-packed GF(2) linear algebra and exact weight distributions."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from udestats import gf2
 from udestats.gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
-                          MatrixFormatError, nullspace_basis, pu_polynomial,
-                          rank, undetected_error_prob, weight_distribution)
+                          MatrixFormatError, nullspace_basis, pu_from_weights,
+                          pu_polynomial, rank, undetected_error_prob,
+                          weight_distribution)
 
 
 @st.composite
@@ -65,6 +68,9 @@ def test_total_codewords_vs_rank(h):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
+# rank 2 < n - 2: the row-space path, with a dependent third row
+@example(BitMatrix.from_strings(["110100101100", "011011000111",
+                                 "101111101011"]))
 def test_against_direct_enumeration(h):
     assert list(weight_distribution(h).counts) == brute_force_weights(h)
 
@@ -92,9 +98,57 @@ def test_nullspace_vectors_are_codewords():
 
 
 def test_enumeration_budget():
-    h = BitMatrix.zero(1, 12)
+    # rank 12 of n = 24: 2^12 codewords and 2^12 row-space words
+    h = BitMatrix.from_rows([(1 << i) | (1 << (12 + i)) for i in range(12)],
+                            24)
+    assert rank(h) == 12
     with pytest.raises(EnumerationBudgetError):
         weight_distribution(h, budget_log2=10)
+    assert weight_distribution(h, budget_log2=12).total() == 1 << 12
+
+
+def test_budget_counts_the_smaller_side():
+    # 2^12 codewords, but a row space of one word
+    wd = weight_distribution(BitMatrix.zero(1, 12), budget_log2=10)
+    assert wd.counts == tuple(math.comb(12, w) for w in range(13))
+
+
+def test_macwilliams_divisibility_is_checked(monkeypatch):
+    # three weight-1 words in a 2-dimensional row space are impossible;
+    # such a histogram must not pass silently
+    monkeypatch.setattr(gf2, "_weight_histogram",
+                        lambda basis, n: [1, 3] + [0] * (n - 1))
+    with pytest.raises(ArithmeticError):
+        weight_distribution(BitMatrix.from_strings(["11000", "00100"]))
+
+
+def _row_space_weights(rows, n):
+    """B_j by a Gray-code walk over every combination of the rows."""
+    b = [0] * (n + 1)
+    x = 0
+    for step in range(1 << len(rows)):
+        if step:
+            x ^= rows[(step & -step).bit_length() - 1]
+        b[x.bit_count()] += 1
+    return b
+
+
+@pytest.mark.parametrize("m, n", [(20, 200), (2, 1100)])
+def test_high_rate_shape_beyond_codeword_budget(m, n):
+    # n > 64 and 2^(n - m) codewords: only the row space can be enumerated.
+    # At n = 1100 the counts A_w pass the float range.
+    rnd = random.Random(2024)
+    h = BitMatrix.from_rows([rnd.getrandbits(n) for _ in range(m)], n)
+    r = rank(h)
+    wd = weight_distribution(h)
+    assert wd.counts[0] == 1 and wd.total() == 1 << (n - r)
+    rows, pivots = gf2._reduced_echelon(list(h.rows), n)
+    b = _row_space_weights(rows[:len(pivots)], n)
+    eps = Fraction(1, 20)
+    exact = (sum(bj * (1 - 2 * eps) ** j for j, bj in enumerate(b)) / 2 ** r
+             - (1 - eps) ** n)
+    assert math.isclose(pu_from_weights(wd.counts, n, float(eps)),
+                        float(exact), rel_tol=1e-12)
 
 
 def test_eps_domain():

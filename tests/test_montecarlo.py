@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from udestats.ensemble import BernoulliEnsemble
 from udestats.gf2 import BitMatrix
-from udestats.montecarlo import (SampleStats, SimConfig, estimate_pu_channel,
+from udestats.montecarlo import (CI_Z, SampleStats, SimConfig,
+                                 estimate_pu_channel,
                                  estimate_pu_distribution, pu_report,
                                  sample_matrix, sample_pu_stats, worker_rng)
 from udestats.oracle import enumerate_ensemble
@@ -154,6 +155,18 @@ def test_channel_estimator_known_matrices():
     rep = estimate_pu_channel(zero, 0.2, 200_000, rng)
     expect = 1 - 0.8 ** 4
     assert rep["ci_low"] <= expect <= rep["ci_high"]
+
+
+def test_channel_interval_on_zero_hits():
+    # no trial goes undetected through a full-rank square matrix; the
+    # Wilson upper end is then z^2 / (T + z^2), not 0
+    trials = 10_000
+    rep = estimate_pu_channel(BitMatrix.identity(5), 0.2, trials,
+                              worker_rng(8, 0))
+    assert rep["estimate"] == 0.0
+    assert rep["ci_low"] == 0.0 and rep["ci_high"] > 0.0
+    assert math.isclose(rep["ci_high"], CI_Z ** 2 / (trials + CI_Z ** 2),
+                        rel_tol=1e-12)
 
 
 def test_channel_mode_debiasing():

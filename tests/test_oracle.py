@@ -1,15 +1,19 @@
 """Exhaustive exact-rational oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from udestats.gf2 import BitVector
-from udestats.oracle import (GuardExceededError, _per_matrix_weight_counts,
+from udestats.oracle import (_PEAK_BYTES_LIMIT, GuardExceededError,
+                             _class_sums_cache, _peak_bytes,
+                             _per_matrix_weight_counts,
                              _per_matrix_weight_counts_generic,
                              _per_matrix_weight_counts_single_row,
+                             _weight_class_sums,
                              avg_weight_exact, brute_force_joint_pass,
                              cov_weight_exact, enumerate_ensemble,
                              joint_pass_prob_exact, second_moment_weight_exact,
@@ -187,3 +191,33 @@ def test_guards():
         brute_force_joint_pass(1, 21, 5, BitVector(21, 1), BitVector(21, 3))
     with pytest.raises(ValueError):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
+
+
+def test_memory_limit_accepts_benchmarked_shapes():
+    shapes = [(m, n) for m in range(1, 17) for n in range(1, 17)
+              if m * n <= 16] + [(4, 5), (2, 10), (1, 20)]
+    assert all(_peak_bytes(m, n) <= _PEAK_BYTES_LIMIT for m, n in shapes)
+
+
+def test_memory_limit_refuses_before_allocating():
+    assert _peak_bytes(3, 8) > _PEAK_BYTES_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError):
+            enumerate_ensemble(3, 8, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m, n", [(1, 16), (2, 8), (3, 5)])
+def test_peak_estimate_tracks_traced_memory(m, n):
+    _class_sums_cache.pop((m, n), None)
+    tracemalloc.start()
+    try:
+        _weight_class_sums(m, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * peak <= _peak_bytes(m, n) <= 1.25 * peak
