@@ -21,6 +21,7 @@ from . import oracle as oracle_mod
 from .ensemble import BernoulliEnsemble, Bsc, OverlapRangeError
 from .gf2 import (BitMatrix, EnumerationBudgetError, MatrixFormatError,
                   pu_polynomial, undetected_error_prob)
+from .logreal import LogReal
 
 
 def _fmt(x) -> str:
@@ -100,12 +101,12 @@ def _cmd_cov(args) -> None:
     if (args.w1 is None) != (args.w2 is None):
         raise ValueError("--w1 and --w2 must be given together")
     if args.w1 is not None:
-        pairs = [(args.w1, args.w2)]
+        rows = [[args.w1, args.w2]
+                + _log_lin(ens_mod.cov_weight(ens, args.w1, args.w2))]
     else:
-        pairs = [(w1, w2) for w1 in range(1, ens.n + 1)
-                 for w2 in range(1, ens.n + 1)]
-    rows = [[w1, w2] + _log_lin(ens_mod.cov_weight(ens, w1, w2))
-            for w1, w2 in pairs]
+        cov = ens_mod.cov_matrix(ens)
+        rows = [[w1, w2] + _log_lin(LogReal(float(cov[w1, w2])))
+                for w1 in range(1, ens.n + 1) for w2 in range(1, ens.n + 1)]
     _emit(args, ["w1", "w2", "log2_cov", "cov"], rows)
 
 

@@ -12,21 +12,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _LN2 = math.log(2.0)
 
 
-def log2_expm1_exp(t: float) -> float:
-    """Return log2(e^t - 1) for t > 0 without overflow or cancellation.
+def log2_expm1_exp(t):
+    """Return log2(e^t - 1) for t > 0, a float or an array of them,
+    without overflow or cancellation.
 
     The argument t is a natural log, typically m * log1p(y) for
-    (1+y)^m - 1 terms.
+    (1+y)^m - 1 terms.  log2(e^t - 1) = (t + log(1 - e^-t)) / ln 2, and
+    -expm1(-t) gives 1 - e^-t to full precision at every t > 0.
     """
-    if t <= 0.0:
-        raise ValueError(f"need t > 0, got {t}")
-    if t > 36.0:
-        # e^t - 1 ~ e^t; correction log1p(-e^-t) is still representable.
-        return (t + math.log1p(-math.exp(-t))) / _LN2
-    return math.log2(math.expm1(t))
+    t = np.asarray(t, dtype=float)
+    if not (t > 0.0).all():
+        raise ValueError(f"need t > 0, got {t.min()}")
+    out = (t + np.log(-np.expm1(-t))) / _LN2
+    return out if out.ndim else float(out)
 
 
 def log2_sum(log2_terms) -> float:

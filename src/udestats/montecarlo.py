@@ -6,7 +6,8 @@ channel noise entirely (the between-matrix variance is the quantity of
 interest).  Channel-sampling mode exists for shapes whose code and row
 space both exceed the enumeration budget; its report carries the
 within-matrix sampling variance so the between-matrix variance can be
-debiased.
+debiased, and it keeps the standard error of the mean positive when no
+trial of any matrix goes undetected, the usual case when P_U ~ 2^-m.
 
 One loop samples the matrices for both modes and scores each one at
 every eps, so all eps values see the same matrices.  Reproducibility: the
@@ -165,15 +166,10 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
         hits += int(undetected.sum())
         remaining -= t
     p_hat = hits / trials
-    se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    # Wilson score interval at z = CI_Z: unlike p_hat +- z se it keeps a
-    # positive upper end when no trial goes undetected (Wilson 1927).
-    z2 = CI_Z * CI_Z / trials
-    center = (p_hat + z2 / 2) / (1 + z2)
-    half = CI_Z * math.sqrt(se * se + z2 / (4 * trials)) / (1 + z2)
+    center, half = _wilson(p_hat, trials)
     return {
         "estimate": p_hat,
-        "se": se,
+        "se": math.sqrt(p_hat * (1.0 - p_hat) / trials),
         "ci_low": 0.0 if hits == 0 else max(0.0, center - half),
         "ci_high": min(1.0, center + half),
         "ci_level": CI_LEVEL,
@@ -181,18 +177,38 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
     }
 
 
+def _wilson(p_hat: float, trials: int) -> tuple[float, float]:
+    """Center and half-width of the Wilson score interval at z = CI_Z.
+
+    Unlike p_hat +- z se it keeps a positive upper end when no trial goes
+    undetected (Wilson 1927).
+    """
+    z2 = CI_Z * CI_Z / trials
+    center = (p_hat + z2 / 2) / (1 + z2)
+    half = CI_Z * math.sqrt(p_hat * (1.0 - p_hat) / trials
+                            + z2 / (4 * trials)) / (1 + z2)
+    return center, half
+
+
 def pu_report(eps: float, stats: SampleStats, channel_trials: int,
               seed: int) -> dict:
     """Mean and variance of P_U from sample_pu_stats, with 4-SE normal
-    confidence intervals."""
+    confidence intervals.  In channel mode mean_se is never below the
+    pooled Wilson half-width over z."""
     # In channel mode the plug-in variance includes the per-matrix
     # sampling noise p(1-p)/T; subtracting its average debiases it.  The
     # average of p(1-p) over the matrices is mean (1 - mean) - m2 / count.
     within_var = 0.0
+    mean_se = stats.mean_se
     if channel_trials:
         within_var = (stats.mean * (1.0 - stats.mean)
                       - stats.m2 / stats.count) / channel_trials
-    mean_se = stats.mean_se
+        # The spread across matrices is 0 when no trial of any matrix went
+        # undetected; the Wilson half-width of all count * T trials pooled,
+        # in units of z, bounds the SE from below.  One matrix has no
+        # spread at all (nan), and the pooled term stands alone.
+        pooled = _wilson(stats.mean, stats.count * channel_trials)[1] / CI_Z
+        mean_se = pooled if math.isnan(mean_se) else max(mean_se, pooled)
     return {
         "eps": eps,
         "mean": stats.mean,

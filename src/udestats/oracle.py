@@ -26,6 +26,7 @@ import numpy as np
 from . import ensemble as ens_mod
 from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import BitVector
+from .logreal import LogReal
 from .rational import RationalPoly
 
 # All 2^(m n) matrices are held in memory at once; shapes whose
@@ -325,12 +326,13 @@ def verify_closed_forms(m: int, n: int, k,
     for w in range(n + 1):
         add(f"avg_weight[{w}]", moments.e_aw[w],
             ens_mod.avg_weight(analytic, w).to_float())
+    cov = ens_mod.cov_matrix(analytic)
     for w1 in range(1, n + 1):
         for w2 in range(w1, n + 1):
             add(f"second_moment[{w1},{w2}]", moments.e_awaw[w1][w2],
                 ens_mod.second_moment_weight(analytic, w1, w2).to_float())
             add(f"cov[{w1},{w2}]", moments.cov[w1][w2],
-                ens_mod.cov_weight(analytic, w1, w2).to_float())
+                LogReal(float(cov[w1, w2])).to_float())
     for eps in eps_points:
         ch = Bsc(float(eps))
         add(f"avg_pu[eps={eps}]", moments.e_pu(eps),

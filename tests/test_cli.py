@@ -214,3 +214,29 @@ def test_fig_commands_shape(capsys):
     assert "var_pu_sparse" in header
     for row in rows:
         assert all(c == "neg_inf" or math.isfinite(float(c)) for c in row)
+
+
+def test_channel_sim_reports_uncertainty_on_zero_hits(capsys):
+    # No trial of any matrix goes undetected here (E[P_U] is about 3e-7),
+    # yet the mean is not known to be 0: the pooled Wilson half-width of
+    # all 3 x 2000 trials keeps mean_se positive.
+    code, out, _ = run_cli(capsys, "sim", "--m", "20", "--n", "40", "--k",
+                           "20", "--eps", "0.01", "--samples", "3",
+                           "--channel-trials", "2000", "--seed", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["mean"]) == 0.0
+    assert float(row["mean_se"]) > 0.0
+
+
+def test_cov_matrix_output_matches_single_pairs(capsys):
+    base = ("cov", "--m", "3", "--n", "7", "--k", "1.5")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 49
+    for row in rows[::5]:
+        _, single = parse_csv(run_cli(capsys, *base, "--w1", row[0],
+                                      "--w2", row[1])[1])
+        assert single == [row]

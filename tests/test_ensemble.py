@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 import udestats.oracle as oracle
 from udestats.ensemble import (BernoulliEnsemble, Bsc, OverlapRangeError,
-                               avg_pu, avg_weight, cov_matrix, cov_weight,
-                               finite_n_exponent, joint_pass_prob, log2_binom,
+                               _log2_binom_row, avg_pu, avg_weight,
+                               cov_matrix, cov_weight, finite_n_exponent,
+                               joint_pass_prob, log2_binom,
                                second_moment_weight, var_pu, var_pu_from_cov)
+from udestats.logreal import log2_sum
 
 
 class _ForcedGeneric(BernoulliEnsemble):
@@ -214,3 +217,100 @@ def test_no_underflow_at_large_m():
 def test_finite_n_exponent_sign():
     ens = BernoulliEnsemble(50, 100, 4.0)
     assert finite_n_exponent(ens, Bsc(0.3)) <= 0.0
+
+
+def _cov_weight_loop(ens, w1, w2):
+    """log2 Cov(A_w1, A_w2) as the one-pair loop over v in Python floats,
+    kept as the reference for the array kernel."""
+    n, m, z = ens.n, ens.m, ens.z
+    w1, w2 = min(w1, w2), max(w1, w2)
+
+    def zpow(w):
+        return 1.0 if w == 0 else (0.0 if z == 0.0 else z ** w)
+    pref = m * (math.log2((1 + zpow(w1)) / 2) + math.log2((1 + zpow(w2)) / 2))
+    denom = (1 + zpow(w1)) * (1 + zpow(w2))
+    terms = []
+    for v in range(max(1, w1 + w2 - n), w1 + 1):
+        y = zpow(w1 + w2 - 2 * v) * (1 - zpow(2 * v)) / denom
+        if y > 0.0:
+            t = m * math.log1p(y)
+            terms.append(log2_binom(n, w1) + log2_binom(w1, v)
+                         + log2_binom(n - w1, w2 - v)
+                         + (t + math.log(-math.expm1(-t))) / math.log(2))
+    return pref + log2_sum(terms)
+
+
+@pytest.mark.parametrize("family", ["sparse", "random"])
+def test_cov_matrix_is_cov_weight_bit_for_bit(family):
+    for n in range(1, 25):
+        m = max(1, n // 2)
+        ens = (BernoulliEnsemble(m, n, min(4.0, n / 2)) if family == "sparse"
+               else BernoulliEnsemble.random(m, n))
+        cov = cov_matrix(ens)
+        assert cov.shape == (n + 1, n + 1)
+        assert (cov[0] == -math.inf).all() and (cov[:, 0] == -math.inf).all()
+        for w1 in range(1, n + 1):
+            for w2 in range(1, n + 1):
+                assert cov[w1, w2] == cov_weight(ens, w1, w2).log2, (n, w1, w2)
+
+
+@pytest.mark.parametrize("m, n, k", [(3, 9, 1.0), (6, 17, 2.5), (20, 40, 5.0),
+                                     (40, 64, 0.3)])
+def test_cov_matrix_matches_the_loop(m, n, k):
+    ens = BernoulliEnsemble(m, n, k)
+    cov = cov_matrix(ens)
+    for w1 in range(1, n + 1):
+        for w2 in range(w1, n + 1):
+            ref = _cov_weight_loop(ens, w1, w2)
+            assert abs(cov[w1, w2] - ref) * math.log(2) <= 1e-13 * max(
+                1.0, abs(ref)), (w1, w2)
+
+
+def test_cov_rows_match_exact_fractions_at_n100():
+    m, n, k = 50, 100, 4
+    ens = BernoulliEnsemble(m, n, float(k))
+    cov = cov_matrix(ens)
+    for w1 in (1, 37, 50, 99):
+        for w2 in range(1, n + 1, 11):
+            exact = oracle.cov_weight_exact(m, n, k, w1, w2)
+            # Scale to [1/2, 2] first: log2 of the huge numerator and
+            # denominator apart would lose digits to their difference.
+            e = exact.numerator.bit_length() - exact.denominator.bit_length()
+            ref = e + math.log2(exact / Fraction(2) ** e)
+            assert abs(cov[w1, w2] - ref) * math.log(2) <= 1e-12, (w1, w2)
+
+
+def test_cov_weight_matches_mpmath_at_n2000():
+    m, n, k = 1000, 2000, 4.0
+    ens = BernoulliEnsemble(m, n, k)
+    mpmath.mp.dps = 50
+    z = 1 - 2 * mpmath.mpf(k) / n
+    for w1, w2 in ((1, 2000), (3, 7), (500, 1500), (1000, 1000)):
+        marg = ((1 + z ** w1) / 2) ** m * ((1 + z ** w2) / 2) ** m
+        total = mpmath.fsum(
+            mpmath.binomial(n, w1) * mpmath.binomial(w1, v)
+            * mpmath.binomial(n - w1, w2 - v)
+            * (((1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v)) / 4) ** m
+               - marg)
+            for v in range(max(0, w1 + w2 - n), min(w1, w2) + 1))
+        got = cov_weight(ens, w1, w2).log2
+        assert abs(got - float(mpmath.log(total, 2))) * math.log(2) <= 1e-12
+
+
+def test_cov_matrix_memory_is_bounded():
+    ens = BernoulliEnsemble(150, 300, 4.0)
+    _log2_binom_row.cache_clear()  # the rows count too
+    tracemalloc.start()
+    try:
+        cov_matrix(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_log2_binom_rows_are_exact_and_read_only():
+    for a in (0, 1, 2, 7, 60, 301):
+        row = _log2_binom_row(a)
+        assert list(row) == [log2_binom(a, j) for j in range(a + 1)]
+        assert not row.flags.writeable

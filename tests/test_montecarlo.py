@@ -209,3 +209,26 @@ def test_channel_mode_replays_one_stream():
         r = pu_report(eps, stats[eps], trials, 4)
         assert math.isclose(r["within_matrix_var"], math.fsum(within[eps])
                             / samples, rel_tol=1e-12)
+
+
+def test_channel_report_pools_trials_for_the_mean_se():
+    # The identity matrix detects every error: zero hits in every trial.
+    h = BitMatrix(4, 4, tuple(1 << i for i in range(4)))
+    stats = SampleStats()
+    for _ in range(3):
+        stats.update(estimate_pu_channel(h, 0.1, 500, worker_rng(1, 0))
+                     ["estimate"])
+    rep = pu_report(0.1, stats, 500, 1)
+    # Wilson half-width at zero hits over T = 1500 pooled trials, over z.
+    z2 = CI_Z * CI_Z / 1500
+    pooled = math.sqrt(z2 / (4 * 1500)) / (1 + z2)
+    assert rep["mean"] == 0.0
+    assert math.isclose(rep["mean_se"], pooled, rel_tol=1e-12)
+    assert rep["mean_ci_high"] == CI_Z * rep["mean_se"]
+    # One matrix has no spread across matrices; the pooled term stands.
+    single = SampleStats()
+    single.update(0.25)
+    rep = pu_report(0.1, single, 400, 1)
+    assert rep["mean_se"] > 0.0 and math.isfinite(rep["mean_ci_low"])
+    # Exact mode keeps the spread across matrices alone.
+    assert math.isnan(pu_report(0.1, single, 0, 1)["mean_se"])
