@@ -99,20 +99,6 @@ def binary_entropy(x):
     return _scalar(-(_xlog2x(x) + _xlog2x(1.0 - x)))
 
 
-def kl_binary(l: float, eps: float) -> float:
-    """Divergence between Bernoulli(l) and Bernoulli(eps), base 2."""
-    if not 0.0 <= l <= 1.0:
-        raise ValueError(f"need 0 <= l <= 1, got {l}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    acc = 0.0
-    if l > 0.0:
-        acc += l * math.log2(l / eps)
-    if l < 1.0:
-        acc += (1.0 - l) * math.log2((1.0 - l) / (1.0 - eps))
-    return acc
-
-
 def scaled_entropy(scale, x):
     """scale * h(x / scale); 0 where scale is 0 (the x = 0 corner).  Both
     arguments broadcast."""
@@ -278,14 +264,6 @@ def _golden_refine(fn, a, b, tol, points: int = 64):
     return _golden_lockstep(fn, a, b, tol)
 
 
-def golden_section_max(fn: Callable, a: float, b: float,
-                       tol: float = 1e-10) -> tuple[float, float]:
-    """Maximize fn on [a, b]; returns (argmax, value).  fn must accept an
-    array of points."""
-    x = float(_golden_refine(lambda x, _: fn(x), [a], [b], tol)[0])
-    return x, _scalar(fn(x))
-
-
 def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
     """Grid scan of every row's objective on its [lo_i, hi_i].
 
@@ -398,7 +376,8 @@ def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
     def obj(mu):
         return scaled_entropy(c, mu) + mu * la + (c - mu) * lb
     best = float(np.max(obj(c * np.arange(points + 1) / points)))
-    return max(best, golden_section_max(obj, 0.0, c)[1])
+    x = _golden_refine(lambda mu, _: obj(mu), [0.0], [c], 1e-10)
+    return max(best, float(obj(x)[0]))
 
 
 def _a_term(k: float, l1, l2, v):
@@ -432,7 +411,9 @@ def _cov_growth_rates(rp: RatePoint, l1, l2, cfg: OptimizerConfig):
         return (-2.0 * (1.0 - R) - ent
                 + _inner_sup_closed(R, _a_term(k, x1, x2, v), b[rows]))
 
-    return _sup_rows(q, np.maximum(0.0, l1 + l2 - 1.0), l1, cfg)
+    # lo = l1 - (1 - l2) is exactly l1 when l2 = 1 (l1 + l2 - 1 rounds
+    # below it), so such a row is its single point.
+    return _sup_rows(q, np.maximum(0.0, l1 - (1.0 - l2)), l1, cfg)
 
 
 def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
@@ -448,13 +429,16 @@ def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
 
 
 def var_pu_growth_rate(rp: RatePoint, eps: float,
-                       cfg: OptimizerConfig = OptimizerConfig()) -> float:
+                       refine_tol: float = 1e-10) -> float:
     """Growth rate of Var[P_U] for the sparse family: sup over (l1, l2)
-    of the BSC tilt plus T(l1, l2)."""
+    of the BSC tilt plus T(l1, l2).  refine_tol is the tolerance of the
+    coordinate refinement; every inner sup uses fixed settings."""
     if rp.k is None:
         raise ValueError("var_pu_growth_rate needs the sparse parameter k")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"need 0 < eps < 1/2, got {eps}")
+    if refine_tol <= 0.0:
+        raise ValueError("refine_tol must be positive")
     le, l1e = math.log2(eps), math.log2(1.0 - eps)
 
     def s(l1, l2):
@@ -483,18 +467,17 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
     for _ in range(4):
         l1 = float(_golden_refine(
             lambda x, _: s(x, np.full(len(x), l2)),
-            [max(l1 - span, 1e-9)], [min(l1 + span, 1.0)], cfg.refine_tol,
+            [max(l1 - span, 1e-9)], [min(l1 + span, 1.0)], refine_tol,
             points=_OUTER_POINTS)[0])
         l2 = float(_golden_refine(
             lambda x, _: s(np.full(len(x), l1), x),
-            [max(l2 - span, 1e-9)], [min(l2 + span, 1.0)], cfg.refine_tol,
+            [max(l2 - span, 1e-9)], [min(l2 + span, 1.0)], refine_tol,
             points=_OUTER_POINTS)[0])
         span /= 8.0
     return max(y, float(s(np.array([l1]), np.array([l2]))[0]))
 
 
-# Inner nu-sup settings of every Var[P_U] growth-rate probe; cfg sets only
-# the tolerance of the coordinate refinement.
+# Inner nu-sup settings of every Var[P_U] growth-rate probe.
 _COARSE = OptimizerConfig(grid_points=256, refine_tol=1e-9)
 # Points per call of the coordinate refinement: each is a whole inner
 # sup, so a call evaluates 31 of them, five steps ahead.

@@ -34,13 +34,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(args, header: list[str], rows: list[list]) -> None:
+def _emit(args, header: list[str], rows: list[list], doc=None) -> None:
+    """Rows as CSV, or with --json as records; with --json a given `doc`
+    is written in place of the records."""
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         formatted = [[_fmt(v) for v in row] for row in rows]
         if args.json:
-            records = [dict(zip(header, row)) for row in formatted]
-            json.dump(records, out, indent=2)
+            if doc is None:
+                doc = [dict(zip(header, row)) for row in formatted]
+            json.dump(doc, out, indent=2)
             out.write("\n")
         else:
             out.write(",".join(header) + "\n")
@@ -145,8 +148,8 @@ def _cmd_cov_exponent(args) -> None:
 
 def _cmd_var_exponent(args) -> None:
     rp = asy.RatePoint(args.rate, float(_parse_k(args.k)))
-    cfg = _opt_config(args)
-    rows = [[eps, asy.var_pu_growth_rate(rp, eps, cfg)] for eps in args.eps]
+    rows = [[eps, asy.var_pu_growth_rate(rp, eps, args.refine_tol)]
+            for eps in args.eps]
     _emit(args, ["eps", "var_pu_growth_rate"], rows)
 
 
@@ -167,24 +170,13 @@ def _cmd_oracle(args) -> None:
     k = _parse_k(args.k)
     report = oracle_mod.verify_closed_forms(args.m, args.n, k,
                                             rel_tol=args.rel_tol)
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if args.json:
-            json.dump(report, out, indent=2)
-            out.write("\n")
-        else:
-            out.write("name,paper_value,oracle_value,analytic_value,"
-                      "rel_err,status\n")
-            for c in report["checks"]:
-                out.write(",".join([
-                    c["name"], c.get("paper_value", ""), c["oracle_value"],
-                    _fmt(c["analytic_value"]), _fmt(c["rel_err"]),
-                    c["status"]]) + "\n")
-            out.write(f"overall,,,,{_fmt(report['max_rel_err'])},"
-                      f"{report['status']}\n")
-    finally:
-        if args.output:
-            out.close()
+    rows = [[c["name"], c.get("paper_value", ""), c["oracle_value"],
+             c["analytic_value"], c["rel_err"], c["status"]]
+            for c in report["checks"]]
+    rows.append(["overall", "", "", "", report["max_rel_err"],
+                 report["status"]])
+    _emit(args, ["name", "paper_value", "oracle_value", "analytic_value",
+                 "rel_err", "status"], rows, doc=report)
 
 
 def _cmd_sim(args) -> None:
@@ -342,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--eps", type=float, nargs="+", required=True)
-    _add_opt(p); _add_common(p)
+    p.add_argument("--refine-tol", type=float, default=1e-10)
+    _add_common(p)
     p.set_defaults(fn=_cmd_var_exponent)
 
     p = sub.add_parser("exact-pu", help="P_U of a matrix file")

@@ -144,15 +144,6 @@ class BitMatrix:
                                  for j in range(self.n)))
         return "\n".join(lines) + "\n"
 
-    def mul_vector(self, x: BitVector) -> int:
-        """Syndrome H x^t as an m-bit int (bit i = parity of row i . x)."""
-        if x.n != self.n:
-            raise ValueError("dimension mismatch")
-        s = 0
-        for i, r in enumerate(self.rows):
-            s |= ((r & x.bits).bit_count() & 1) << i
-        return s
-
 
 def _reduced_echelon(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     """In-place RREF over GF(2); returns (rows, pivot_cols)."""

@@ -55,14 +55,6 @@ class LogReal:
 
     log2: float
 
-    @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        if x < 0.0:
-            raise ValueError(f"LogReal carries nonnegative values, got {x}")
-        if x == 0.0:
-            return cls(-math.inf)
-        return cls(math.log2(x))
-
     def to_float(self) -> float:
         """Linear-domain value; underflows to 0.0 / overflows to inf."""
         if self.log2 == -math.inf:
@@ -76,34 +68,6 @@ class LogReal:
     def is_zero(self) -> bool:
         return self.log2 == -math.inf
 
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.is_zero or other.is_zero:
-            return LogReal.ZERO
-        return LogReal(self.log2 + other.log2)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_zero:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.is_zero:
-            return LogReal.ZERO
-        return LogReal(self.log2 - other.log2)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        return LogReal(log2_sum((self.log2, other.log2)))
-
-    def __pow__(self, exponent: float) -> "LogReal":
-        if self.is_zero:
-            if exponent <= 0:
-                raise ValueError("0 ** nonpositive exponent")
-            return LogReal.ZERO
-        return LogReal(self.log2 * exponent)
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.log2 < other.log2
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self.log2 <= other.log2
-
     def isclose(self, other: "LogReal", rel_tol: float = 1e-12) -> bool:
         """Relative closeness in the linear domain, safe for tiny values.
 
@@ -115,11 +79,5 @@ class LogReal:
         return abs(self.log2 - other.log2) * _LN2 <= rel_tol
 
 
-# Shared constants; plain class attributes, not dataclass fields.
+# A plain class attribute, not a dataclass field.
 LogReal.ZERO = LogReal(-math.inf)
-LogReal.ONE = LogReal(0.0)
-
-
-def logreal_sum(values) -> LogReal:
-    """Sum an iterable of LogReal values via log-sum-exp."""
-    return LogReal(log2_sum(v.log2 for v in values))

@@ -6,8 +6,9 @@ channel noise entirely (the between-matrix variance is the quantity of
 interest).  Channel-sampling mode exists for shapes whose code and row
 space both exceed the enumeration budget; its report carries the
 within-matrix sampling variance so the between-matrix variance can be
-debiased, and it keeps the standard error of the mean positive when no
-trial of any matrix goes undetected, the usual case when P_U ~ 2^-m.
+debiased, and it keeps the standard errors of the mean and variance
+positive when no trial of any matrix goes undetected, the usual case when
+P_U ~ 2^-m.
 
 One loop samples the matrices for both modes and scores each one at
 every eps, so all eps values see the same matrices.  Reproducibility: the
@@ -194,12 +195,13 @@ def pu_report(eps: float, stats: SampleStats, channel_trials: int,
               seed: int) -> dict:
     """Mean and variance of P_U from sample_pu_stats, with 4-SE normal
     confidence intervals.  In channel mode mean_se is never below the
-    pooled Wilson half-width over z."""
+    pooled Wilson half-width over z, and when no trial of any matrix went
+    undetected var_se is the pooled Wilson upper end over z."""
     # In channel mode the plug-in variance includes the per-matrix
     # sampling noise p(1-p)/T; subtracting its average debiases it.  The
     # average of p(1-p) over the matrices is mean (1 - mean) - m2 / count.
     within_var = 0.0
-    mean_se = stats.mean_se
+    mean_se, var_se = stats.mean_se, stats.variance_se
     if channel_trials:
         within_var = (stats.mean * (1.0 - stats.mean)
                       - stats.m2 / stats.count) / channel_trials
@@ -207,8 +209,13 @@ def pu_report(eps: float, stats: SampleStats, channel_trials: int,
         # undetected; the Wilson half-width of all count * T trials pooled,
         # in units of z, bounds the SE from below.  One matrix has no
         # spread at all (nan), and the pooled term stands alone.
-        pooled = _wilson(stats.mean, stats.count * channel_trials)[1] / CI_Z
+        center, half = _wilson(stats.mean, stats.count * channel_trials)
+        pooled = half / CI_Z
         mean_se = pooled if math.isnan(mean_se) else max(mean_se, pooled)
+        if stats.max == 0.0:
+            # With no hit the spread reads 0 as well; since 0 <= P_U <= 1,
+            # Var[P_U] <= E[P_U], which the pooled upper end bounds.
+            var_se = (center + half) / CI_Z
     return {
         "eps": eps,
         "mean": stats.mean,
@@ -216,7 +223,7 @@ def pu_report(eps: float, stats: SampleStats, channel_trials: int,
         "mean_ci_low": stats.mean - CI_Z * mean_se,
         "mean_ci_high": stats.mean + CI_Z * mean_se,
         "var": stats.variance - within_var,
-        "var_se": stats.variance_se,
+        "var_se": var_se,
         "within_matrix_var": within_var,
         "ci_level": CI_LEVEL,
         "min": stats.min,

@@ -27,7 +27,7 @@ from . import ensemble as ens_mod
 from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import BitVector
 from .logreal import LogReal
-from .rational import RationalPoly
+from .rational import RationalPoly, poly_from_weight_counts
 
 # All 2^(m n) matrices are held in memory at once; shapes whose
 # enumeration would peak above this many bytes are refused up front.
@@ -90,21 +90,10 @@ def _peak_bytes(m: int, n: int) -> int:
     return max(enum, group)
 
 
-def _per_matrix_weight_counts(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A[t, w] = A_w of matrix id t, plus the total ones count per matrix.
-
-    Matrix id t packs row i into bits [n*i, n*(i+1)).  Single-row
-    ensembles take a shortcut: column permutations preserve all Hamming
-    weights, so A_w depends only on the row weight and one representative
-    per weight suffices (cross-checked against the generic path in the
-    test suite).
-    """
-    if m == 1:
-        return _per_matrix_weight_counts_single_row(n)
-    return _per_matrix_weight_counts_generic(m, n)
-
-
 def _per_matrix_weight_counts_single_row(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_per_matrix_weight_counts_generic(1, n) by a shortcut: column
+    permutations preserve all Hamming weights, so A_w depends only on the
+    row weight and one representative per weight suffices."""
     xs = np.arange(1 << n, dtype=np.uint32)
     wt_x = np.bitwise_count(xs)
     wt_h = wt_x.astype(np.int64)
@@ -118,7 +107,10 @@ def _per_matrix_weight_counts_single_row(n: int) -> tuple[np.ndarray, np.ndarray
 
 def _per_matrix_weight_counts_generic(m: int, n: int
                                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Direct parity check of every x vector against every matrix.  The
+    """A[t, w] = A_w of matrix id t, plus the total ones count per matrix;
+    matrix id t packs row i into bits [n*i, n*(i+1)).
+
+    Direct parity check of every x vector against every matrix.  The
     x-loop is blocked so each block is one big vectorized parity check;
     blocks combine by summation, so any partitioning yields the same
     counts.
@@ -156,7 +148,8 @@ def _weight_class_sums(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     count; k-independent, so cached across ensembles of the same shape."""
     key = (m, n)
     if key not in _class_sums_cache:
-        counts, wt_h = _per_matrix_weight_counts(m, n)
+        counts, wt_h = (_per_matrix_weight_counts_single_row(n) if m == 1
+                        else _per_matrix_weight_counts_generic(m, n))
         mn = m * n
         s1 = np.zeros((mn + 1, n + 1), dtype=np.int64)
         s2 = np.zeros((mn + 1, n + 1, n + 1), dtype=np.int64)
@@ -189,19 +182,13 @@ def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     cov = [[e_awaw[w1][w2] - e_aw[w1] * e_aw[w2] for w2 in range(n + 1)]
            for w1 in range(n + 1)]
 
-    e_pu = RationalPoly.zero()
-    for w in range(1, n + 1):
-        if e_aw[w]:
-            e_pu = e_pu + RationalPoly.bernstein(w, n) * e_aw[w]
+    e_pu = poly_from_weight_counts(e_aw, n)
     # Group the double sum by w1 + w2: same Bernstein factor in eps.
     by_total = [Fraction(0)] * (2 * n + 1)
     for w1 in range(1, n + 1):
         for w2 in range(1, n + 1):
             by_total[w1 + w2] += e_awaw[w1][w2]
-    e_pu2 = RationalPoly.zero()
-    for s in range(2, 2 * n + 1):
-        if by_total[s]:
-            e_pu2 = e_pu2 + RationalPoly.bernstein(s, 2 * n) * by_total[s]
+    e_pu2 = poly_from_weight_counts(by_total, 2 * n)
     var_pu = e_pu2 - e_pu * e_pu
 
     matrix_probs = None

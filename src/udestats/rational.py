@@ -114,7 +114,7 @@ class RationalPoly:
         return " ".join(parts)
 
 
-def poly_from_weight_counts(counts: Sequence[int], n: int) -> RationalPoly:
+def poly_from_weight_counts(counts: Sequence[Rat], n: int) -> RationalPoly:
     """sum_{w>=1} A_w eps^w (1-eps)^(n-w) as an exact polynomial."""
     acc = RationalPoly.zero()
     for w in range(1, n + 1):

@@ -11,10 +11,9 @@ import udestats.asymptotics as asy
 from udestats.asymptotics import (OptimizerConfig, RatePoint, _a_term,
                                   _b_term, _inner_sup_closed, binary_entropy,
                                   cov_growth_rate, error_exponent,
-                                  exponent_objective, golden_section_max,
-                                  growth_rate_bernoulli, growth_rate_random,
-                                  inner_sup_grid, kl_binary, scaled_entropy,
-                                  var_pu_growth_rate)
+                                  exponent_objective, growth_rate_bernoulli,
+                                  growth_rate_random, inner_sup_grid,
+                                  scaled_entropy, var_pu_growth_rate)
 from udestats.ensemble import BernoulliEnsemble, cov_weight
 
 FAST = OptimizerConfig(grid_points=2048, refine_tol=1e-10)
@@ -28,12 +27,6 @@ def test_binary_entropy_basics():
                         rel_tol=1e-13)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
-
-
-@given(st.floats(min_value=0.01, max_value=0.49))
-def test_kl_zero_iff_equal(eps):
-    assert kl_binary(eps, eps) == pytest.approx(0.0, abs=1e-15)
-    assert kl_binary(min(eps + 0.1, 1.0), eps) > 0.0
 
 
 def test_growth_rate_random_values():
@@ -58,8 +51,10 @@ def test_growth_rate_bernoulli_values():
        st.floats(min_value=0.001, max_value=1.0))
 def test_random_objective_is_neg_kl(R, eps, l):
     g = exponent_objective(growth_rate_random(R), eps)
-    assert math.isclose(g(l), -(1 - R) - kl_binary(l, eps),
-                        rel_tol=1e-12, abs_tol=1e-12)
+    kl = l * math.log2(l / eps)
+    if l < 1.0:
+        kl += (1 - l) * math.log2((1 - l) / (1 - eps))
+    assert math.isclose(g(l), -(1 - R) - kl, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_objective_boundary_limit():
@@ -69,9 +64,8 @@ def test_objective_boundary_limit():
 
 
 def test_golden_section_max():
-    x, y = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
-    assert math.isclose(x, 0.3, abs_tol=1e-9)
-    assert math.isclose(y, 0.0, abs_tol=1e-15)
+    x = asy._golden_refine(lambda t, _: -(t - 0.3) ** 2, [0.0], [1.0], 1e-10)
+    assert math.isclose(x[0], 0.3, abs_tol=1e-9)
 
 
 def test_error_exponent_random():
@@ -145,7 +139,7 @@ def test_var_pu_growth_rate_bounds():
     rp = RatePoint(0.5, 4.0)
     cfg = OptimizerConfig(grid_points=256, refine_tol=1e-8)
     eps = 0.1
-    got = var_pu_growth_rate(rp, eps, cfg)
+    got = var_pu_growth_rate(rp, eps, cfg.refine_tol)
     assert got <= 0.0
     s_diag = (2 * eps * math.log2(eps) + (2 - 2 * eps) * math.log2(1 - eps)
               + cov_growth_rate(rp, eps, eps, cfg))
@@ -247,6 +241,24 @@ def test_batched_cov_growth_rates_match_single_calls():
     l1, l2 = (np.array(p) for p in zip(*pairs))
     got = asy._cov_growth_rates(rp, l1, l2, cfg)
     assert list(got) == [cov_growth_rate(rp, x1, x2, cfg) for x1, x2 in pairs]
+
+
+def test_l2_one_rows_take_no_bracket(monkeypatch):
+    # The overlap range [l1 + l2 - 1, l1] is the point l1 when l2 = 1, but
+    # l1 + 1.0 - 1.0 rounds below l1 for some l1 (1/48 among them); such a
+    # sliver would tie all its grid points as tops.
+    brackets = []
+    grid_tops = asy._grid_tops
+
+    def spy(*args):
+        out = grid_tops(*args)
+        brackets.append(len(out[2][0]))
+        return out
+    monkeypatch.setattr(asy, "_grid_tops", spy)
+    l1 = np.arange(1, 49) / 48.0
+    cfg = OptimizerConfig(grid_points=256, refine_tol=1e-9)
+    asy._cov_growth_rates(RatePoint(0.5, 4.0), l1, np.ones(48), cfg)
+    assert brackets == [0]
 
 
 def test_functions_accept_arrays():

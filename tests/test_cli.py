@@ -44,6 +44,20 @@ def test_oracle_report(capsys):
     assert by_name["e_pu_eps1_coeff"]["status"] == "MISMATCH_WITH_PAPER"
 
 
+def test_oracle_csv(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--m", "1", "--n", "2",
+                           "--k", "1/2")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["name", "paper_value", "oracle_value",
+                      "analytic_value", "rel_err", "status"]
+    assert rows[0] == ["avg_weight[0]", "", "1", "1", "0", "PASS"]
+    assert ["e_pu_eps1_coeff", "2/3", "3/2", "1.5", "0",
+            "MISMATCH_WITH_PAPER"] in rows
+    assert rows[-1][:4] == ["overall", "", "", ""]
+    assert float(rows[-1][4]) <= 1e-10 and rows[-1][5] == "PASS"
+
+
 def test_csv_json_identical_values(capsys):
     code, csv_out, _ = run_cli(capsys, "avg-pu", "--m", "4", "--n", "10",
                                "--k", "2", "--eps", "0.05", "0.2")
@@ -172,6 +186,14 @@ def test_sim_has_no_workers_option(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_var_exponent_has_no_grid_points_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
+              "--grid-points", "64"])
+    assert exc.value.code == 2
+    assert "--grid-points" in capsys.readouterr().err
+
+
 def test_seed_only_on_sim(capsys, monkeypatch):
     monkeypatch.setenv("UDE_WORKERS", "abc")
     code, out, _ = run_cli(capsys, "awd", "--m", "1", "--n", "2", "--k", "1")
@@ -219,15 +241,18 @@ def test_fig_commands_shape(capsys):
 def test_channel_sim_reports_uncertainty_on_zero_hits(capsys):
     # No trial of any matrix goes undetected here (E[P_U] is about 3e-7),
     # yet the mean is not known to be 0: the pooled Wilson half-width of
-    # all 3 x 2000 trials keeps mean_se positive.
+    # all 3 x 2000 trials keeps mean_se positive, and its upper end, which
+    # bounds Var[P_U] <= E[P_U], keeps var_se positive.
     code, out, _ = run_cli(capsys, "sim", "--m", "20", "--n", "40", "--k",
                            "20", "--eps", "0.01", "--samples", "3",
                            "--channel-trials", "2000", "--seed", "1")
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
-    assert float(row["mean"]) == 0.0
+    assert float(row["mean"]) == 0.0 and float(row["var"]) == 0.0
     assert float(row["mean_se"]) > 0.0
+    upper = 16 / (6000 + 16)  # Wilson upper end at z = 4, 0 of 6000 hits
+    assert math.isclose(float(row["var_se"]), upper / 4, rel_tol=1e-12)
 
 
 def test_cov_matrix_output_matches_single_pairs(capsys):

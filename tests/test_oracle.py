@@ -10,7 +10,6 @@ import pytest
 from udestats.gf2 import BitVector
 from udestats.oracle import (_PEAK_BYTES_LIMIT, GuardExceededError,
                              _class_sums_cache, _peak_bytes,
-                             _per_matrix_weight_counts,
                              _per_matrix_weight_counts_generic,
                              _per_matrix_weight_counts_single_row,
                              _weight_class_sums,
@@ -112,7 +111,7 @@ def test_generic_path_partition_invariance():
     # counts must not depend on how the x-loop is blocked; compare the
     # vectorized path against a per-matrix python enumeration
     m, n = 2, 4
-    counts, wt_h = _per_matrix_weight_counts(m, n)
+    counts, wt_h = _per_matrix_weight_counts_generic(m, n)
     for t in (0, 5, 77, 255):
         rows = [(t >> (n * i)) & ((1 << n) - 1) for i in range(m)]
         expect = [0] * (n + 1)
