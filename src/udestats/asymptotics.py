@@ -36,6 +36,9 @@ _REFINE_MAX_ITER = 200
 # temporaries stay in cache, and their memory is bounded whatever the
 # number of rows.
 _GRID_CHUNK = 1 << 12
+# A row's grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
+# point; 2^21 points take about 100 MB.
+_MAX_GRID_POINTS = 1 << 21
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +62,8 @@ class OptimizerConfig:
     refine_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.grid_points < 64:
-            raise ValueError("grid_points must be >= 64")
+        if not 64 <= self.grid_points <= _MAX_GRID_POINTS:
+            raise ValueError("grid_points must be in [64, 2^21]")
         if self.refine_tol <= 0.0:
             raise ValueError("refine_tol must be positive")
 

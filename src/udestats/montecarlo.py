@@ -8,7 +8,9 @@ space both exceed the enumeration budget; its report carries the
 within-matrix sampling variance so the between-matrix variance can be
 debiased, and it keeps the standard errors of the mean and variance
 positive when no trial of any matrix goes undetected, the usual case when
-P_U ~ 2^-m.
+P_U ~ 2^-m.  It draws the error positions of a block of trials from their
+geometric gaps, one exponential per bit error rather than one uniform per
+bit, and a trial's syndrome is the XOR of H's bit-packed columns there.
 
 One loop samples the matrices for both modes and scores each one at
 every eps, so all eps values see the same matrices.  Reproducibility: the
@@ -31,6 +33,10 @@ from .gf2 import BitMatrix, pu_from_weights, weight_distribution
 # errors for sample means, Wilson score intervals for channel hit rates.
 CI_Z = 4.0
 CI_LEVEL = 0.9999367
+# Doubles drawn at once by sample_matrix (8 MB), and channel error bits per
+# chunk of estimate_pu_channel: the temporaries stay bounded whatever n is.
+_SAMPLE_BLOCK = 1 << 20
+_CHUNK_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,11 +113,16 @@ def worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 def sample_matrix(ens: BernoulliEnsemble, rng: np.random.Generator) -> BitMatrix:
     """One matrix with i.i.d. Bernoulli(p) entries."""
-    bits = rng.random((ens.m, ens.n)) < ens.p
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(packed[i].tobytes(), "little")
-                 for i in range(ens.m))
-    return BitMatrix(ens.m, ens.n, rows)
+    # Rows are drawn in blocks of about _SAMPLE_BLOCK doubles.
+    # Generator.random fills row-major from one stream, so the blocks give
+    # the same matrix as one m x n draw.
+    block = max(1, _SAMPLE_BLOCK // ens.n)
+    rows = []
+    for start in range(0, ens.m, block):
+        bits = rng.random((min(block, ens.m - start), ens.n)) < ens.p
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        rows += [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return BitMatrix(ens.m, ens.n, tuple(rows))
 
 
 def sample_pu_stats(ens: BernoulliEnsemble, eps_list: Sequence[float],
@@ -151,21 +162,24 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
         raise ValueError("trials must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"need 0 < eps < 1/2, got {eps}")
-    # The syndrome is a float32 BLAS product reduced mod 2: every sum is an
-    # integer of at most n, so it is exact.  Generator.random fills
-    # sequentially, so the chunk size does not change the draws.
-    ht = np.array([[(r >> j) & 1 for r in h.rows] for j in range(h.n)],
-                  dtype=np.float32)
+    # A chunk's t x n error bits are one Bernoulli(eps) stream, drawn by
+    # its error positions.  A trial's syndrome is the XOR of H's columns
+    # at its positions; it is undetected if it has an error and a zero
+    # syndrome.
+    cols = _packed_columns(h)
+    chunk = max(1, _CHUNK_BITS // h.n)
     hits = 0
-    remaining = trials
-    chunk = 1 << 12
-    while remaining > 0:
-        t = min(chunk, remaining)
-        errs = (rng.random((t, h.n)) < eps).astype(np.float32)
-        syndrome = np.fmod(errs @ ht, 2.0)
-        undetected = (~syndrome.any(axis=1)) & errs.any(axis=1)
-        hits += int(undetected.sum())
-        remaining -= t
+    for start in range(0, trials, chunk):
+        pos = _error_positions(min(chunk, trials - start) * h.n, eps, rng)
+        if pos.size == 0:
+            continue
+        trial = pos // h.n
+        first = np.empty(pos.size, dtype=bool)
+        first[0] = True
+        np.not_equal(trial[1:], trial[:-1], out=first[1:])
+        syndrome = np.bitwise_xor.reduceat(
+            np.take(cols, pos - trial * h.n, axis=0), np.flatnonzero(first))
+        hits += int(np.count_nonzero(~syndrome.any(axis=1)))
     p_hat = hits / trials
     center, half = _wilson(p_hat, trials)
     return {
@@ -176,6 +190,49 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
         "ci_level": CI_LEVEL,
         "trials": trials,
     }
+
+
+def _packed_columns(h: BitMatrix) -> np.ndarray:
+    """H's columns as an (n, ceil(m/64)) uint64 array; row i is bit i."""
+    nbytes = (h.n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little")
+                                 for r in h.rows), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(h.m, nbytes), axis=1, count=h.n,
+                         bitorder="little")
+    padded = np.zeros((h.n, 64 * ((h.m + 63) // 64)), dtype=np.uint8)
+    padded[:, :h.m] = bits.T
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _error_positions(bits: int, eps: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the ones in bits Bernoulli(eps) draws.
+
+    The gaps between ones are geometric, floor(E / -ln(1 - eps)) + 1 with
+    E ~ Exp(1) (Devroye 1986, ch. X): the ceiling save on a null set, and
+    never 0.  So the stream costs about one draw per one.  The gap that
+    crosses the end is dropped; by memorylessness the next stream may
+    start afresh.
+    """
+    rate = -math.log1p(-eps)
+    # A batch reaches 4 standard deviations past the mean count of ones,
+    # so one batch almost always covers the stream.
+    mean = eps * bits
+    batch = int(mean + 4.0 * math.sqrt(mean)) + 1
+    parts = []
+    last = -1
+    while last < bits:
+        gaps = rng.standard_exponential(batch)
+        gaps /= rate
+        np.minimum(gaps, bits, out=gaps)  # any longer gap ends the stream
+        pos = gaps.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[:np.searchsorted(pos, bits)]
 
 
 def _wilson(p_hat: float, trials: int) -> tuple[float, float]:

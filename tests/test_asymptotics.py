@@ -147,8 +147,9 @@ def test_var_pu_growth_rate_bounds():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_points=8)
+    for points in (8, 2**21 + 1):
+        with pytest.raises(ValueError):
+            OptimizerConfig(grid_points=points)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_tol=0.0)
     with pytest.raises(ValueError):

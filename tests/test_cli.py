@@ -117,6 +117,8 @@ def test_domain_errors_exit_nonzero(capsys):
         ("awd", "--m", "2", "--n", "4", "--k", "nope"),
         ("exponent", "--family", "bernoulli", "--rate", "0.5",
          "--eps", "0.1"),
+        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k", "20",
+         "--eps", "0.1", "--grid-points", str(2**21 + 1)),
         ("oracle", "--m", "5", "--n", "5", "--k", "1"),
         ("oracle", "--m", "3", "--n", "8", "--k", "2"),  # about 9 GiB
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),

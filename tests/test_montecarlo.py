@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udestats.ensemble import BernoulliEnsemble
-from udestats.gf2 import BitMatrix
-from udestats.montecarlo import (CI_Z, SampleStats, SimConfig,
-                                 estimate_pu_channel,
+from udestats.gf2 import BitMatrix, pu_from_weights, weight_distribution
+from udestats.montecarlo import (_CHUNK_BITS, _SAMPLE_BLOCK, CI_Z,
+                                 SampleStats, SimConfig, estimate_pu_channel,
                                  estimate_pu_distribution, pu_report,
                                  sample_matrix, sample_pu_stats, worker_rng)
 from udestats.oracle import enumerate_ensemble
@@ -100,6 +101,19 @@ def test_sample_matrix_determinism_and_density():
     assert abs(ones / total - ens.p) <= 4 * se
 
 
+def test_sample_matrix_blocks_replay_one_draw():
+    # 7 rows of 300,000 columns are drawn in blocks of 3, 3 and 1 rows.
+    ens = BernoulliEnsemble(7, 300_000, 0.3 * 300_000)
+    assert _SAMPLE_BLOCK // ens.n == 3
+    rng, ref = worker_rng(7100, 0), worker_rng(7100, 0)
+    h = sample_matrix(ens, rng)
+    packed = np.packbits(ref.random((ens.m, ens.n)) < ens.p, axis=1,
+                         bitorder="little")
+    assert h.rows == tuple(int.from_bytes(r.tobytes(), "little")
+                           for r in packed)
+    assert np.array_equal(rng.random(4), ref.random(4))
+
+
 def test_matrix_frequencies_chi_square():
     # B_{1,2,1/2}: empirical matrix frequencies vs the exact ensemble
     # probabilities, chi-square with 3 dof at significance 0.001
@@ -155,6 +169,66 @@ def test_channel_estimator_known_matrices():
     rep = estimate_pu_channel(zero, 0.2, 200_000, rng)
     expect = 1 - 0.8 ** 4
     assert rep["ci_low"] <= expect <= rep["ci_high"]
+
+
+def _in_clopper_pearson(hits: int, trials: int, p: float,
+                        alpha: float) -> bool:
+    """p lies in the two-sided level 1 - alpha Clopper-Pearson interval for
+    hits out of trials: both binomial tails at hits exceed alpha / 2."""
+    x = np.arange(trials + 1)
+    log_choose = np.concatenate(
+        ([0.0], np.cumsum(np.log((trials - x[:-1]) / (x[:-1] + 1)))))
+    pmf = np.exp(log_choose + x * math.log(p) + (trials - x) * math.log1p(-p))
+    return pmf[:hits + 1].sum() > alpha / 2 and pmf[hits:].sum() > alpha / 2
+
+
+# Level of every Clopper-Pearson check below: with five checks a correct
+# sampler fails this file in about one run in 2 * 10^5.
+CP_ALPHA = 1e-6
+
+
+def test_channel_estimates_match_exact_pu():
+    h = BitMatrix.from_strings(["11010010", "01101001", "10110100"])
+    counts = weight_distribution(h).counts
+    chunk = _CHUNK_BITS // h.n
+    trials = 2 * chunk + 12_345  # the last chunk is a partial one
+    rng = worker_rng(7101, 0)
+    for eps in (0.01, 0.2, 0.34, 0.49):
+        hits = round(estimate_pu_channel(h, eps, trials, rng)["estimate"]
+                     * trials)
+        p = pu_from_weights(counts, h.n, eps)
+        assert _in_clopper_pearson(hits, trials, p, CP_ALPHA), (eps, hits, p)
+
+
+def test_channel_syndromes_span_words():
+    # 66 rows take two 64-bit words per column.  Repeating the rows of a
+    # 2 x 10 matrix keeps its code, so P_U and, on the same stream, every
+    # hit are the ones of the 2 x 10 matrix; so too when the 2 rows sit
+    # in the second word only, below 64 zero rows.
+    a, b = 0b1011001110, 0b0110110011
+    small = BitMatrix(2, 10, (a, b))
+    trials, eps = 100_000, 0.2
+    want = estimate_pu_channel(small, eps, trials, worker_rng(7102, 0))
+    for rows in ((a, b) * 33, (0,) * 64 + (a, b)):
+        big = BitMatrix(66, 10, rows)
+        assert estimate_pu_channel(big, eps, trials,
+                                   worker_rng(7102, 0)) == want
+    p = pu_from_weights(weight_distribution(small).counts, 10, eps)
+    assert _in_clopper_pearson(round(want["estimate"] * trials), trials, p,
+                               CP_ALPHA)
+
+
+def test_channel_memory_is_bounded_by_the_chunk():
+    # One 4096 x 20000 draw of doubles would take 655 MB; the chunks of
+    # about 2^20 error bits keep the peak near 15 MB.
+    h = sample_matrix(BernoulliEnsemble(4, 20_000, 5.0), worker_rng(7103, 0))
+    tracemalloc.start()
+    try:
+        estimate_pu_channel(h, 0.45, 4096, worker_rng(7103, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_channel_interval_on_zero_hits():
