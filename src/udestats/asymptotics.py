@@ -3,18 +3,17 @@
 The error exponent of the average undetected error probability is the
 supremum over the normalized weight of (growth rate + BSC tilt).  For the
 sparse Bernoulli family the objective is not concave, so suprema are
-located by a global grid scan followed by golden-section refinement of
-every local candidate; half-open boundary limits are injected as explicit
+located by a global grid scan followed by a zoom refinement of every
+local candidate; half-open boundary limits are injected as explicit
 candidates.
 
 Every objective takes arrays: a grid scan is one call per chunk of rows,
-and the golden-section refinements of all local tops (and of the
-exponent's geometric tail) run in lock-step, each interval taking exactly
-the steps of the one-interval loop.  A few intervals look several steps
-ahead per call (Python-float bookkeeping); many take one step per call
-(array bookkeeping).  The Var[P_U] growth rate scans all its (l1, l2)
-pairs in one batch, and its coordinate refinement evaluates 31 inner sups
-per call.  Public functions return Python floats for float arguments.
+and each refinement call samples 15 evenly spaced points of every live
+bracket (all local tops, and the exponent's geometric tail, together)
+and narrows each bracket 8x around its best point.  The Var[P_U] growth
+rate scans all its (l1, l2) pairs in one batch, and its coordinate
+refinement evaluates 15 inner sups per call.  Public functions return
+Python floats for float arguments.
 
 The covariance growth rate's entropy term h(l1) + l1 h(v / l1) +
 (1 - l1) h((l2 - v) / (1 - l1)) carries each scale prefactor; it is
@@ -29,12 +28,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TINY = np.finfo(float).tiny
 _REFINE_MAX_ITER = 200
-# Points per objective call in grid scans and lock-step refinements: the
-# temporaries stay in cache, and their memory is bounded whatever the
-# number of rows.
+# Interior points per bracket and call of _zoom_refine.  A constant, so an
+# interval's result does not depend on the others; 15 narrows a bracket 8x
+# per call.
+_ZOOM_POINTS = 15
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS + 2) / (_ZOOM_POINTS + 1)
+# Points per objective call in grid scans and refinements: the temporaries
+# stay in cache, and their memory is bounded whatever the number of rows.
 _GRID_CHUNK = 1 << 12
 # A row's grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
 # point; 2^21 points take about 100 MB.
@@ -64,7 +66,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 64 <= self.grid_points <= _MAX_GRID_POINTS:
             raise ValueError("grid_points must be in [64, 2^21]")
-        if self.refine_tol <= 0.0:
+        if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
 
 
@@ -150,121 +152,33 @@ def _in_chunks(fn, x, owner):
                            for i in range(0, len(x), _GRID_CHUNK)])
 
 
-def _golden_step(a, b, c, d, left):
-    """One golden-section step on arrays of brackets [a, b] with inner
-    points c < d: where fc >= fd (left) it keeps [a, d] and probes a new
-    c, elsewhere it keeps [c, b] and probes a new d.  Returns the new a,
-    b, c, d and the probe."""
-    lo, hi = np.where(left, a, c), np.where(left, d, b)
-    gap = _INV_PHI * (hi - lo)
-    probe = np.where(left, hi - gap, lo + gap)
-    kept = np.where(left, c, d)
-    return (lo, hi, np.where(left, probe, kept), np.where(left, kept, probe),
-            probe)
-
-
-def _golden_move(a: float, b: float, c: float, d: float, left: bool):
-    """_golden_step on one bracket, in Python floats."""
-    if left:
-        c_new = d - _INV_PHI * (d - a)
-        return a, d, c_new, c, c_new
-    d_new = c + _INV_PHI * (b - c)
-    return c, b, d, d_new, d_new
-
-
-def _golden_lockstep(fn, a, b, tol):
-    """One golden-section step of every live interval per call of fn; the
-    bookkeeping is array arithmetic, for many intervals."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    tol = np.array(np.broadcast_to(tol, a.shape), dtype=float)
-    idx = np.arange(len(a))
-    x_out = np.empty(len(a))
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = _in_chunks(fn, c, idx), _in_chunks(fn, d, idx)
-    for steps in range(_REFINE_MAX_ITER + 1):
-        done = b - a <= tol if steps < _REFINE_MAX_ITER else idx >= 0
-        if done.any():
-            x_out[idx[done]] = 0.5 * (a[done] + b[done])
-            a, b, c, d, fc, fd, tol, idx = (
-                v[~done] for v in (a, b, c, d, fc, fd, tol, idx))
-            if not len(idx):
-                break
-        left = fc >= fd
-        a, b, c, d, probe = _golden_step(a, b, c, d, left)
-        v = _in_chunks(fn, probe, idx)
-        fc, fd = np.where(left, v, fd), np.where(left, fc, v)
-    return x_out
-
-
-def _golden_lookahead(fn, a, b, tol, depth: int):
-    """`depth` golden-section steps of every live interval per call of fn;
-    the bookkeeping is in Python floats, for a few intervals.
-
-    A step's point is known once the previous comparison is, and each
-    outcome fixes the point after it, so one call evaluates the
-    2^depth - 1 points that the next depth steps can probe, and their
-    values pick the path.
-    """
-    n = len(a)
-    a, b = [float(x) for x in a], [float(x) for x in b]
-    c = [bi - _INV_PHI * (bi - ai) for ai, bi in zip(a, b)]
-    d = [ai + _INV_PHI * (bi - ai) for ai, bi in zip(a, b)]
-    f = fn(np.array(c + d), np.arange(2 * n) % n).tolist()
-    state = [list(s) for s in zip(a, b, c, d, f[:n], f[n:])]
-    tol = np.broadcast_to(tol, (n,)).tolist()
-    steps = 0
-    while True:
-        live = [i for i in range(n) if state[i][1] - state[i][0] > tol[i]] \
-            if steps < _REFINE_MAX_ITER else []
-        if not live:
-            break
-        ahead = min(depth, _REFINE_MAX_ITER - steps)
-        # Level j of a tree holds the 2^j moves that step j + 1 can make,
-        # node p's outcomes at 2p (fc >= fd) and 2p + 1.
-        trees = []
-        for i in live:
-            sa, sb, sc, sd, fc, fd = state[i]
-            level = [_golden_move(sa, sb, sc, sd, fc >= fd)]
-            trees.append([level])
-            for _ in range(ahead - 1):
-                level = [_golden_move(*m[:4], left) for m in level
-                         for left in (True, False)]
-                trees[-1].append(level)
-        probes = [m[4] for tree in trees for level in tree for m in level]
-        owners = [i for i, tree in zip(live, trees)
-                  for level in tree for _ in level]
-        values = iter(fn(np.array(probes), np.array(owners)).tolist())
-        for i, tree in zip(live, trees):
-            s, node = state[i], 0
-            for j, level in enumerate(tree):
-                vals = [next(values) for _ in level]
-                if j:
-                    if s[1] - s[0] <= tol[i]:
-                        continue  # stopped; the remaining values are unused
-                    node = 2 * node + (s[4] < s[5])
-                left = s[4] >= s[5]
-                s[:4] = level[node][:4]
-                s[4:] = (vals[node], s[4]) if left else (s[5], vals[node])
-        steps += ahead
-    return np.array([0.5 * (s[0] + s[1]) for s in state])
-
-
-def _golden_refine(fn, a, b, tol, points: int = 64):
-    """Golden-section maximization on every interval [a_i, b_i] down to
-    width tol_i, all intervals in lock-step; returns the argmax array.
+def _zoom_refine(fn, a, b, tol):
+    """Maximization on every interval [a_i, b_i] down to width tol_i, all
+    intervals together; returns the argmax array (bracket midpoints).
 
     fn(x, idx) evaluates the objective of interval idx[j] at x[j].  Each
-    interval takes the steps of the one-interval loop: the same points,
-    the same comparisons, at most _REFINE_MAX_ITER of them.  When a call
-    of at most `points` points can cover two steps or more of every
-    interval, the intervals look ahead; otherwise each call takes one
-    step of all of them.
+    call samples _ZOOM_POINTS evenly spaced interior points of every live
+    bracket, and each bracket shrinks to the two neighbours of its first
+    best point, 8x narrower.  A bracket is done at width <= tol_i, when its
+    width stops shrinking (float resolution), or after _REFINE_MAX_ITER
+    calls.  No probe leaves its bracket, and an interval's result does not
+    depend on which others share the call.
     """
-    depth = int(math.log2(1 + points / max(len(a), 1)))
-    if depth >= 2:
-        return _golden_lookahead(fn, a, b, tol, depth)
-    return _golden_lockstep(fn, a, b, tol)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    tol = np.broadcast_to(tol, a.shape)
+    live = np.flatnonzero(b - a > tol)
+    for _ in range(_REFINE_MAX_ITER):
+        if not len(live):
+            break
+        lo, hi = a[live, None], b[live, None]
+        xs = np.clip(lo + _ZOOM_STEPS * (hi - lo), lo, hi)
+        ys = _in_chunks(fn, xs[:, 1:-1].ravel(),
+                        np.repeat(live, _ZOOM_POINTS)).reshape(len(live), -1)
+        top, r = np.argmax(ys, axis=1), np.arange(len(live))
+        a[live], b[live] = xs[r, top], xs[r, top + 2]
+        width = b[live] - a[live]
+        live = live[(width < (hi - lo)[:, 0]) & (width > tol[live])]
+    return 0.5 * (a + b)
 
 
 def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
@@ -317,11 +231,10 @@ def _keep_best(best_x, best_y, row, x, y) -> None:
 
 def _sup_rows(fn, lo, hi, cfg: OptimizerConfig) -> np.ndarray:
     """Global sup of every row's objective on [lo_i, hi_i]: a grid scan,
-    then golden refinement of every local top, all rows in lock-step."""
+    then refinement of every local top, all rows together."""
     best_x, best_y, (row, a, b) = _grid_tops(fn, lo, hi, cfg)
     if len(row):
-        x = _golden_refine(lambda x, i: fn(x, row[i]), a, b,
-                           cfg.refine_tol)
+        x = _zoom_refine(lambda x, i: fn(x, row[i]), a, b, cfg.refine_tol)
         _keep_best(best_x, best_y, row, x, fn(x, row))
     return best_y
 
@@ -348,8 +261,8 @@ def error_exponent(f: GrowthRate, eps: float,
     # The grid's local tops and the tail's bracket are refined together.
     tol = np.full(len(a) + 1, cfg.refine_tol)
     tol[-1] *= tx
-    x = _golden_refine(lambda x, _: g.fn(x), np.append(a, tx / 2.0),
-                         np.append(b, min(tx * 2.0, 1.0)), tol)
+    x = _zoom_refine(lambda x, _: g.fn(x), np.append(a, tx / 2.0),
+                     np.append(b, min(tx * 2.0, 1.0)), tol)
     y = g.fn(x)
     _keep_best(best_x, best_y, np.zeros(len(a), dtype=int), x[:-1], y[:-1])
     value, argmax = float(best_y[0]), float(best_x[0])
@@ -379,7 +292,7 @@ def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
     def obj(mu):
         return scaled_entropy(c, mu) + mu * la + (c - mu) * lb
     best = float(np.max(obj(c * np.arange(points + 1) / points)))
-    x = _golden_refine(lambda mu, _: obj(mu), [0.0], [c], 1e-10)
+    x = _zoom_refine(lambda mu, _: obj(mu), [0.0], [c], 1e-10)
     return max(best, float(obj(x)[0]))
 
 
@@ -397,7 +310,7 @@ def _b_term(k: float, l1, l2):
 
 def _cov_growth_rates(rp: RatePoint, l1, l2, cfg: OptimizerConfig):
     """T(l1, l2) for arrays of normalized weights in (0, 1], one sup over
-    the normalized overlap v per pair, all pairs in lock-step.
+    the normalized overlap v per pair, all pairs in one batch.
 
     The entropy part h(l1) + l1 h(v/l1) + (1-l1) h((l2-v)/(1-l1)) is the
     entropy of the split (v, l1 - v, l2 - v, 1 - l1 - l2 + v), evaluated
@@ -440,7 +353,7 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
         raise ValueError("var_pu_growth_rate needs the sparse parameter k")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"need 0 < eps < 1/2, got {eps}")
-    if refine_tol <= 0.0:
+    if not refine_tol > 0.0:
         raise ValueError("refine_tol must be positive")
     le, l1e = math.log2(eps), math.log2(1.0 - eps)
 
@@ -465,23 +378,18 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
     if not ys[i] > ys[0]:
         i = 0
     l1, l2, y = float(p1[i]), float(p2[i]), float(ys[i])
-    # Coordinate-wise golden refinement around the best cell.
+    # Coordinate-wise refinement around the best cell.
     span = 1.0 / 48.0
     for _ in range(4):
-        l1 = float(_golden_refine(
+        l1 = float(_zoom_refine(
             lambda x, _: s(x, np.full(len(x), l2)),
-            [max(l1 - span, 1e-9)], [min(l1 + span, 1.0)], refine_tol,
-            points=_OUTER_POINTS)[0])
-        l2 = float(_golden_refine(
+            [max(l1 - span, 1e-9)], [min(l1 + span, 1.0)], refine_tol)[0])
+        l2 = float(_zoom_refine(
             lambda x, _: s(np.full(len(x), l1), x),
-            [max(l2 - span, 1e-9)], [min(l2 + span, 1.0)], refine_tol,
-            points=_OUTER_POINTS)[0])
+            [max(l2 - span, 1e-9)], [min(l2 + span, 1.0)], refine_tol)[0])
         span /= 8.0
     return max(y, float(s(np.array([l1]), np.array([l2]))[0]))
 
 
 # Inner nu-sup settings of every Var[P_U] growth-rate probe.
 _COARSE = OptimizerConfig(grid_points=256, refine_tol=1e-9)
-# Points per call of the coordinate refinement: each is a whole inner
-# sup, so a call evaluates 31 of them, five steps ahead.
-_OUTER_POINTS = 31

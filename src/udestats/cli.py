@@ -55,10 +55,13 @@ def _emit(args, header: list[str], rows: list[list], doc=None) -> None:
 
 
 def _parse_k(s: str) -> Fraction:
+    """k as a Fraction that also converts to a float."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        k = Fraction(s)
+        float(k)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse k value {s!r}") from exc
+    return k
 
 
 def _ensemble(args) -> BernoulliEnsemble:

@@ -63,9 +63,25 @@ def test_objective_boundary_limit():
     assert math.isclose(g(0.1), -0.5, abs_tol=1e-14)
 
 
-def test_golden_section_max():
-    x = asy._golden_refine(lambda t, _: -(t - 0.3) ** 2, [0.0], [1.0], 1e-10)
-    assert math.isclose(x[0], 0.3, abs_tol=1e-9)
+def test_zoom_refine_max():
+    # An interior maximum, maxima at either endpoint, a bracket near 1e-9
+    # with a relative tolerance, and two tol-0 brackets, which must stop
+    # where the width stops shrinking.  For the last bracket a + (b - a)
+    # rounds above b.
+    p = np.array([0.3, 0.3, 0.3, 2e-8, 0.3, 0.9])
+    a = np.array([0.0, 0.5, 0.0, 1e-9, 0.0, 0.00030368894239257704])
+    b = np.array([1.0, 0.9, 0.2, 1e-9 + 3e-8, 1.0, 0.7710773769031211])
+    tol = np.array([1e-10, 1e-10, 1e-10, 1e-10 * 2e-8, 0.0, 0.0])
+    calls = np.zeros(len(a), dtype=int)
+
+    def fn(t, i):
+        assert ((a[i] <= t) & (t <= b[i])).all()  # no probe leaves [a, b]
+        calls[np.unique(i)] += 1
+        return -((t - p[i]) / p[i]) ** 2
+    x = asy._zoom_refine(fn, a, b, tol)
+    want = np.array([0.3, 0.5, 0.2, 2e-8, 0.3, b[5]])
+    assert (np.abs(x - want) <= np.maximum(tol, 1e-15)).all()
+    assert calls.max() < asy._REFINE_MAX_ITER
 
 
 def test_error_exponent_random():
@@ -150,36 +166,37 @@ def test_optimizer_config_validation():
     for points in (8, 2**21 + 1):
         with pytest.raises(ValueError):
             OptimizerConfig(grid_points=points)
-    with pytest.raises(ValueError):
-        OptimizerConfig(refine_tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            OptimizerConfig(refine_tol=tol)
+        with pytest.raises(ValueError):
+            var_pu_growth_rate(RatePoint(0.5, 4.0), 0.1, tol)
     with pytest.raises(ValueError):
         RatePoint(1.0)
     with pytest.raises(ValueError):
         RatePoint(0.5, -1.0)
 
 
-def _golden_loop(fn, a, b, tol):
-    """The one-interval golden-section loop on floats, kept as the
-    reference for the lock-step versions."""
-    c = b - asy._INV_PHI * (b - a)
-    d = a + asy._INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
+def _zoom_loop(fn, a, b, tol):
+    """The one-interval zoom loop on floats, kept as the reference for
+    the batched version."""
+    k = asy._ZOOM_POINTS
     for _ in range(asy._REFINE_MAX_ITER):
-        if b - a <= tol:
+        if not b - a > tol:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - asy._INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + asy._INV_PHI * (b - a)
-            fd = fn(d)
+        xs = [min(max(a + i / (k + 1) * (b - a), a), b)
+              for i in range(k + 2)]
+        ys = [fn(x) for x in xs[1:-1]]
+        j = ys.index(max(ys))
+        width = b - a
+        a, b = xs[j], xs[j + 2]
+        if not b - a < width:
+            break
     return 0.5 * (a + b)
 
 
 def _sup_loop(fn, lo, hi, cfg):
-    """Grid scan plus golden refinement of each local top, one point at a
+    """Grid scan plus zoom refinement of each local top, one point at a
     time with `if y > best`: the reference for _sup_rows."""
     if hi <= lo:
         return fn(hi)
@@ -190,15 +207,14 @@ def _sup_loop(fn, lo, hi, cfg):
     for i, y in enumerate(ys):
         if y >= (ys[i - 1] if i else -math.inf) and \
                 y >= (ys[i + 1] if i + 1 < len(ys) else -math.inf):
-            x = _golden_loop(fn, xs[max(i - 1, 0)],
-                             xs[min(i + 1, len(xs) - 1)], cfg.refine_tol)
+            x = _zoom_loop(fn, xs[max(i - 1, 0)],
+                           xs[min(i + 1, len(xs) - 1)], cfg.refine_tol)
             if fn(x) > best:
                 best = fn(x)
     return best
 
 
-@pytest.mark.parametrize("refine", ["lockstep", "lookahead"])
-def test_golden_refinements_replay_the_loop(refine):
+def test_zoom_refine_replays_the_loop():
     g = exponent_objective(growth_rate_bernoulli(0.3, 20.0), 0.04)
 
     def one(x):
@@ -207,13 +223,8 @@ def test_golden_refinements_replay_the_loop(refine):
     a = [0.1, 0.3, 1e-9, 0.5, 0.2, 0.0]
     b = [0.1005, 0.31, 3e-8, 0.9, 0.2 + 1e-12, 1.0]
     tol = [1e-10, 1e-10, 1e-18, 1e-12, 1e-10, 0.0]
-    expect = [_golden_loop(one, *t) for t in zip(a, b, tol)]
-    for depth in ((1,) if refine == "lockstep" else (2, 3, 6)):
-        if refine == "lockstep":
-            x = asy._golden_lockstep(lambda x, _: g.fn(x), a, b, tol)
-        else:
-            x = asy._golden_lookahead(lambda x, _: g.fn(x), a, b, tol, depth)
-        assert list(x) == expect, depth
+    expect = [_zoom_loop(one, *t) for t in zip(a, b, tol)]
+    assert list(asy._zoom_refine(lambda x, _: g.fn(x), a, b, tol)) == expect
 
 
 def test_sup_rows_replays_the_loop():

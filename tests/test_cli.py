@@ -115,10 +115,19 @@ def test_domain_errors_exit_nonzero(capsys):
         ("avg-pu", "--m", "2", "--n", "4", "--k", "2", "--eps", "0.7"),
         ("awd", "--m", "2", "--n", "4", "--k", "3"),
         ("awd", "--m", "2", "--n", "4", "--k", "nope"),
+        ("awd", "--m", "2", "--n", "4", "--k", "1e400"),
+        ("cov-exponent", "--rate", "0.5", "--k", "1e400", "--l1", "0.5",
+         "--l2", "0.5"),
         ("exponent", "--family", "bernoulli", "--rate", "0.5",
          "--eps", "0.1"),
         ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k", "20",
          "--eps", "0.1", "--grid-points", str(2**21 + 1)),
+        ("exponent", "--family", "random", "--rate", "0.5", "--eps", "0.1",
+         "--refine-tol", "nan"),
+        ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
+         "--l2", "0.5", "--refine-tol", "nan"),
+        ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
+         "--refine-tol", "nan"),
         ("oracle", "--m", "5", "--n", "5", "--k", "1"),
         ("oracle", "--m", "3", "--n", "8", "--k", "2"),  # about 9 GiB
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
