@@ -214,7 +214,10 @@ def _sup_loop(fn, lo, hi, cfg):
     return best
 
 
-def test_zoom_refine_replays_the_loop():
+@pytest.mark.parametrize("calls", ["batched", "per_bracket"])
+def test_zoom_refine_replays_the_loop(calls):
+    # All brackets in one call, or each bracket in a call of its own: the
+    # result of a bracket must not depend on which others share the call.
     g = exponent_objective(growth_rate_bernoulli(0.3, 20.0), 0.04)
 
     def one(x):
@@ -224,7 +227,12 @@ def test_zoom_refine_replays_the_loop():
     b = [0.1005, 0.31, 3e-8, 0.9, 0.2 + 1e-12, 1.0]
     tol = [1e-10, 1e-10, 1e-18, 1e-12, 1e-10, 0.0]
     expect = [_zoom_loop(one, *t) for t in zip(a, b, tol)]
-    assert list(asy._zoom_refine(lambda x, _: g.fn(x), a, b, tol)) == expect
+    if calls == "batched":
+        x = list(asy._zoom_refine(lambda x, _: g.fn(x), a, b, tol))
+    else:
+        x = [asy._zoom_refine(lambda x, _: g.fn(x), [t[0]], [t[1]], [t[2]])[0]
+             for t in zip(a, b, tol)]
+    assert x == expect
 
 
 def test_sup_rows_replays_the_loop():
