@@ -186,8 +186,13 @@ def _cmd_sim(args) -> None:
     if args.samples < 2:
         raise ValueError("--samples must be >= 2: the variance needs at "
                          "least two matrices")
-    stats = mc.sample_pu_stats(_ensemble(args), args.eps, args.samples,
-                               args.seed, args.channel_trials)
+    try:
+        stats = mc.sample_pu_stats(_ensemble(args), args.eps, args.samples,
+                                   args.seed, args.channel_trials)
+    except EnumerationBudgetError as exc:
+        raise EnumerationBudgetError(
+            f"{exc}; --channel-trials T estimates each matrix's P_U from T "
+            "BSC transmissions instead") from exc
     rows = []
     for eps in args.eps:
         r = mc.pu_report(eps, stats[eps], args.channel_trials, args.seed)

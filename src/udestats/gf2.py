@@ -9,6 +9,11 @@ the row space, whose weights B_j give the A_w through the exact integer
 MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n) (MacWilliams & Sloane
 1977, ch. 5).  The cost 2^min(r, n - r) is bounded by an explicit,
 configurable budget.
+
+The enumerator holds the combinations of the low-order basis words in one
+numpy block and walks the rest by Gray code, XORing one basis word into
+the block in place per step.  Popcounts are bytes; weights up to 255 are
+counted in (even, odd) pairs, one bincount key per two words.
 """
 
 from __future__ import annotations
@@ -212,9 +217,11 @@ def _int_to_words(x: int, words: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-# Low-order basis combinations materialized in one cache-sized block (2^16
-# uint64 words, 512 KB); high-order bits walked by Gray code so each step
-# differs from the last by one XOR into reused buffers.
+# The combinations of the low-order basis words are materialized in one
+# cache-sized block of 2^16 combinations (512 KB per 64-bit word of n),
+# stored word-major so that each word's popcounts form one contiguous row.
+# The high-order words are walked by Gray code: consecutive steps differ by
+# one basis word, which is XORed into the block in place.
 _LOW_BLOCK_LOG2 = 16
 
 
@@ -223,27 +230,33 @@ def _weight_histogram(basis_bits: list[int], n: int) -> list[int]:
     d = len(basis_bits)
     words = (n + 63) // 64
     low_d = min(d, _LOW_BLOCK_LOG2)
-    arr = np.zeros((1 << low_d, words), dtype=np.uint64)
+    arr = np.zeros((words, 1 << low_d), dtype=np.uint64)
     size = 1
     for b in basis_bits[:low_d]:
-        np.bitwise_xor(arr[:size], _int_to_words(b, words)[None, :],
-                       out=arr[size:2 * size])
+        np.bitwise_xor(arr[:, :size], _int_to_words(b, words)[:, None],
+                       out=arr[:, size:2 * size])
         size *= 2
-    if words == 1:
-        arr = arr[:, 0]
-    block = np.empty_like(arr)
-    ones = np.empty(arr.shape, dtype=np.intp)
-    w = ones if words == 1 else np.empty(1 << low_d, dtype=np.intp)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    prefix = 0
+    ones = np.empty(arr.shape, dtype=np.uint8)
+    w = ones[0] if words == 1 else np.empty(
+        1 << low_d, dtype=np.uint8 if n <= 255 else np.uint16)
+    # Byte weights are read in (even, odd) pairs, one uint16 key each: the
+    # joint histogram has 256 (n + 1) bins, and its two marginals add up
+    # to the weight counts.
+    paired = w.dtype == np.uint8 and low_d > 0
+    keys = w.view(np.uint16) if paired else w
+    bins = 256 * (n + 1) if paired else n + 1
+    hist = np.zeros(bins, dtype=np.int64)
+    high = [_int_to_words(b, words)[:, None] for b in basis_bits[low_d:]]
     for step in range(1 << (d - low_d)):
         if step:
-            prefix ^= basis_bits[low_d + (step & -step).bit_length() - 1]
-        np.bitwise_xor(arr, _int_to_words(prefix, words), out=block)
-        np.bitwise_count(block, out=ones)
+            arr ^= high[(step & -step).bit_length() - 1]
+        np.bitwise_count(arr, out=ones)
         if words > 1:
-            np.sum(ones, axis=1, out=w)
-        hist += np.bincount(w, minlength=n + 1)
+            np.add.reduce(ones, axis=0, dtype=w.dtype, out=w)
+        hist += np.bincount(keys, minlength=bins)
+    if paired:
+        joint = hist.reshape(n + 1, 256)
+        hist = joint.sum(axis=1) + joint.sum(axis=0)[:n + 1]
     return [int(c) for c in hist]
 
 

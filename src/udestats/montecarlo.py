@@ -140,6 +140,8 @@ def sample_pu_stats(ens: BernoulliEnsemble, eps_list: Sequence[float],
         raise ValueError("matrix_samples must be >= 1")
     if channel_trials < 0:
         raise ValueError("channel_trials must be >= 0")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must be in [0, 2^128)")
     stats = {eps: SampleStats() for eps in eps_list}
     rng = worker_rng(seed, 0)
     for _ in range(matrix_samples):

@@ -132,11 +132,22 @@ def test_domain_errors_exit_nonzero(capsys):
         ("oracle", "--m", "3", "--n", "8", "--k", "2"),  # about 9 GiB
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
     ]
-    for argv in cases:
+    sim = ("sim", "--m", "2", "--n", "4", "--k", "1", "--eps", "0.1",
+           "--samples", "2")
+    # the error line must name what is wrong or the way out
+    named = {
+        sim + ("--seed", "-1"): "seed must be in [0, 2^128)",
+        sim + ("--seed", str(2**128)): "seed must be in [0, 2^128)",
+        # 2^70 codewords and 2^30 row-space words: fails at the first matrix
+        ("sim", "--m", "30", "--n", "100", "--k", "5", "--eps", "0.05",
+         "--samples", "2"): "--channel-trials",
+    }
+    for argv in cases + list(named):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
+        assert named.get(argv, "") in err
 
 
 def test_exact_pu_matrix_file(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,29 @@ def _row_space_weights(rows, n):
             x ^= rows[(step & -step).bit_length() - 1]
         b[x.bit_count()] += 1
     return b
+
+
+# d > 16 walks past the low block; n = 65 and 255 have byte weights over
+# several words, n = 256 and 300 uint16 weights, d = 0 a single word.
+@pytest.mark.parametrize("n, d", [(40, 0), (40, 1), (40, 17), (40, 20),
+                                  (65, 17), (255, 17), (256, 17), (300, 17)])
+def test_weight_histogram_replays_the_gray_walk(n, d):
+    rnd = random.Random(1000 * n + d)
+    basis = [rnd.getrandbits(n) for _ in range(d)]
+    assert gf2._weight_histogram(basis, n) == _row_space_weights(basis, n)
+
+
+def test_weight_histogram_temporaries_are_bounded():
+    # d = 20, n = 40: one 512 KB block, byte popcounts and paired keys
+    rnd = random.Random(2040)
+    basis = [rnd.getrandbits(40) for _ in range(20)]
+    tracemalloc.start()
+    try:
+        gf2._weight_histogram(basis, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2 ** 20
 
 
 @pytest.mark.parametrize("m, n", [(20, 200), (2, 1100)])
