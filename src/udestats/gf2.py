@@ -8,12 +8,8 @@ enumerated: the 2^(n - r) codewords of the nullspace, or the 2^r words of
 the row space, whose weights B_j give the A_w through the exact integer
 MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n) (MacWilliams & Sloane
 1977, ch. 5).  The cost 2^min(r, n - r) is bounded by an explicit,
-configurable budget.
-
-The enumerator holds the combinations of the low-order basis words in one
-numpy block and walks the rest by Gray code, XORing one basis word into
-the block in place per step.  Popcounts are bytes; weights up to 255 are
-counted in (even, odd) pairs, one bincount key per two words.
+configurable budget.  `_weight_histogram` enumerates by an in-place Gray
+walk over a numpy block.
 """
 
 from __future__ import annotations
@@ -237,8 +233,10 @@ def _weight_histogram(basis_bits: list[int], n: int) -> list[int]:
                        out=arr[:, size:2 * size])
         size *= 2
     ones = np.empty(arr.shape, dtype=np.uint8)
+    # Weights are at most n, so they are summed in the smallest type that
+    # holds n: bytes up to n = 255, and no wrap-around for any n.
     w = ones[0] if words == 1 else np.empty(
-        1 << low_d, dtype=np.uint8 if n <= 255 else np.uint16)
+        1 << low_d, dtype=np.min_scalar_type(n))
     # Byte weights are read in (even, odd) pairs, one uint16 key each: the
     # joint histogram has 256 (n + 1) bins, and its two marginals add up
     # to the weight counts.

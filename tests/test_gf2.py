@@ -144,6 +144,16 @@ def test_weight_histogram_replays_the_gray_walk(n, d):
     assert gf2._weight_histogram(basis, n) == _row_space_weights(basis, n)
 
 
+def test_weight_histogram_weights_past_uint16():
+    # the all-ones word of n = 70000 sums 1094 words' popcounts to 70000,
+    # which wraps in 16 bits; MacWilliams divisibility cannot catch that
+    n = 70000
+    basis = [(1 << n) - 1]
+    counts = gf2._weight_histogram(basis, n)
+    assert counts == _row_space_weights(basis, n)
+    assert counts[n] == 1
+
+
 def test_weight_histogram_temporaries_are_bounded():
     # d = 20, n = 40: one 512 KB block, byte popcounts and paired keys
     rnd = random.Random(2040)
