@@ -38,6 +38,9 @@ _LN2 = math.log(2.0)
 # temporary whatever n; larger blocks are no faster and raise the peak
 # memory.
 _BLOCK_TRIPLES = 1 << 13
+# Largest n for cov_matrix: its (n+1)^2 float64 matrix is 128 MiB there,
+# and its n^3/6 overlap triples about 1.1e10.
+_MAX_COV_N = 1 << 12
 
 
 class OverlapRangeError(ValueError):
@@ -299,6 +302,10 @@ def cov_matrix(ens: BernoulliEnsemble) -> np.ndarray:
     """log2 Cov(A_w1, A_w2) for 0 <= w1, w2 <= n as an (n+1) x (n+1)
     float array; row and column 0 are -inf (A_0 = 1 is constant)."""
     n = ens.n
+    if n > _MAX_COV_N:
+        raise ValueError(
+            f"the covariance matrix needs n <= {_MAX_COV_N}, got n={n}: it "
+            f"holds (n+1)^2 values from about n^3/6 overlap terms")
     mat = np.full((n + 1, n + 1), -np.inf)
     if ens.is_random:
         for w in range(1, n + 1):

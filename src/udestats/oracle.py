@@ -7,11 +7,13 @@ the closed-form module (and for the two typos in the published worked
 example: the mean's eps coefficient and the second moment's eps^3
 coefficient).
 
-The per-matrix weight distributions are obtained by direct enumeration of
-all 2^n candidate codewords against all matrices at once (vectorized),
-which is an independent route from gf2's enumeration of the code or of
-the row space (with the MacWilliams transform) — the two are
-cross-checked in the test suite.
+A matrix's weight distribution depends only on the multiset of its
+columns, and so does its probability, so the oracle checks one matrix
+per multiset, C(2^m + n - 1, n) of them, and counts each as many times
+as it occurs among the 2^(mn) matrices.  Its codewords come from a direct
+parity check of all 2^n words, an independent route from gf2's
+enumeration of the code or of the row space (with the MacWilliams
+transform) — the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from .gf2 import BitVector
 from .logreal import LogReal
 from .rational import RationalPoly, poly_from_weight_counts
 
-# All 2^(m n) matrices are held in memory at once; shapes whose
-# enumeration would peak above this many bytes are refused up front.
-_PEAK_BYTES_LIMIT = 2 << 30
-# Candidate codewords checked against every matrix per vectorized step.
-_X_BLOCK = 64
+# Enumeration budget, checked from (m, n) before anything is allocated,
+# and the number of (multiset, word) parity checks made per block.
+_LOG2_MAX_CLASSES = 20
+_LOG2_MAX_CELLS = 26
+_BLOCK_CELLS = 1 << 20
 
 
 class GuardExceededError(RuntimeError):
-    """Enumeration that would need more memory than the oracle allows."""
+    """Shape whose exhaustive enumeration is over the oracle's budget."""
 
 
 def _check_k(n: int, k: Fraction) -> Fraction:
@@ -62,115 +64,82 @@ class EnsembleMoments:
     var_pu: RationalPoly
     matrix_probs: Optional[tuple] = None   # P(H) by matrix id, tiny cases only
 
-    @property
-    def p(self) -> Fraction:
-        return self.k / self.n
 
-
-def _peak_bytes(m: int, n: int) -> int:
-    """Estimated peak bytes of _weight_class_sums(m, n) on its first call,
-    for m n < 64 (matrix ids are uint64).
-
-    Per matrix, the generic path holds its id, its m rows, its ones count
-    and its n + 1 counts, plus about 7 bytes per candidate codeword of
-    one x block while the block's parities are formed (the uint32 AND,
-    its popcount, the parity, the mask and the running mask) and 8 bytes
-    per weight sum.  The single-row path holds the candidate words with
-    their popcounts and parity temporaries, and the gathered counts.
-    Grouping by ones count then copies the largest class of counts, and
-    its Gram product copies it once more.
-    """
-    num = 1 << (m * n)
-    row = 8 * (n + 1)
-    if m == 1:
-        enum = num * (4 + 1 + 8 + 7 + row)
-    else:
-        enum = num * (8 + 4 * m + 8 + row + 7 * min(_X_BLOCK, 1 << n) + 8)
-    group = num * (row + 8 + 1) + 2 * math.comb(m * n, m * n // 2) * row
-    return max(enum, group)
-
-
-def _per_matrix_weight_counts_single_row(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_per_matrix_weight_counts_generic(1, n) by a shortcut: column
-    permutations preserve all Hamming weights, so A_w depends only on the
-    row weight and one representative per weight suffices."""
-    xs = np.arange(1 << n, dtype=np.uint32)
-    wt_x = np.bitwise_count(xs)
-    wt_h = wt_x.astype(np.int64)
-    rep = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for wt in range(n + 1):
-        r = np.uint32((1 << wt) - 1)
-        valid = (np.bitwise_count(xs & r) & 1) == 0
-        rep[wt] = np.bincount(wt_x[valid], minlength=n + 1)[:n + 1]
-    return rep[wt_h], wt_h
-
-
-def _per_matrix_weight_counts_generic(m: int, n: int
-                                      ) -> tuple[np.ndarray, np.ndarray]:
-    """A[t, w] = A_w of matrix id t, plus the total ones count per matrix;
-    matrix id t packs row i into bits [n*i, n*(i+1)).
-
-    Direct parity check of every x vector against every matrix.  The
-    x-loop is blocked so each block is one big vectorized parity check;
-    blocks combine by summation, so any partitioning yields the same
-    counts.
-    """
-    num = 1 << (m * n)
-    ids = np.arange(num, dtype=np.uint64)
-    rowmask = np.uint64((1 << n) - 1)
-    rows = [((ids >> np.uint64(n * i)) & rowmask).astype(np.uint32)
-            for i in range(m)]
-    wt_h = np.zeros(num, dtype=np.int64)
-    for r in rows:
-        wt_h += np.bitwise_count(r)
-
-    xs = np.arange(1 << n, dtype=np.uint32)
-    wt_x = np.bitwise_count(xs)
-    counts = np.zeros((num, n + 1), dtype=np.int64)
-    for start in range(0, 1 << n, _X_BLOCK):
-        xb = xs[start:start + _X_BLOCK]
-        valid = np.ones((num, len(xb)), dtype=bool)
-        for r in rows:
-            par_even = (np.bitwise_count(r[:, None] & xb[None, :]) & 1) == 0
-            valid &= par_even
-        wb = wt_x[start:start + _X_BLOCK]
-        for w in np.unique(wb):
-            cols = np.nonzero(wb == w)[0]
-            counts[:, w] += valid[:, cols].sum(axis=1)
-    return counts, wt_h
+def _column_classes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every multiset of n columns over [0, 2^m), as the nondecreasing rows
+    of a (classes, n) array, and the number of matrices with each one,
+    n! / prod(run length)!, updated as each column is appended."""
+    q = 1 << m
+    cols = np.arange(q, dtype=np.min_scalar_type(q - 1))[:, None]
+    mult = run = np.ones(q, dtype=np.int64)
+    for j in range(1, n):
+        last = cols[:, -1].astype(np.int64)
+        reps = q - last
+        src = np.repeat(np.arange(len(cols)), reps)
+        # Row r's copies take last[r], ..., q - 1.
+        nxt = np.arange(len(src)) - np.repeat(np.cumsum(reps) - q, reps)
+        run = np.where(nxt == last[src], run[src] + 1, 1)
+        mult = mult[src] * (j + 1) // run
+        cols = np.column_stack((cols[src], nxt.astype(cols.dtype)))
+    return cols, mult
 
 
 _class_sums_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _weight_class_sums(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of A_w and A_w1 A_w2 over matrices grouped by total ones
-    count; k-independent, so cached across ensembles of the same shape."""
+    """Sums of A_w and A_w1 A_w2 over all matrices, grouped by total ones
+    count; k-independent, so cached across ensembles of the same shape.
+
+    Each column multiset is checked once and counted with its
+    multiplicity.  The syndromes of all 2^n words come by doubling: the
+    word x + 2^i has the syndrome of x XOR column i.  A_0 = 1, so the sums
+    of A_w are row 0 of the sums of A_w1 A_w2.
+    """
     key = (m, n)
     if key not in _class_sums_cache:
-        counts, wt_h = (_per_matrix_weight_counts_single_row(n) if m == 1
-                        else _per_matrix_weight_counts_generic(m, n))
-        mn = m * n
-        s1 = np.zeros((mn + 1, n + 1), dtype=np.int64)
-        s2 = np.zeros((mn + 1, n + 1, n + 1), dtype=np.int64)
-        for wt in range(mn + 1):
-            sel = counts[wt_h == wt]
-            if sel.size:
-                s1[wt] = sel.sum(axis=0)
-                s2[wt] = sel.T @ sel
-        _class_sums_cache[key] = (s1, s2)
+        cols, mult = _column_classes(m, n)
+        ones = np.bitwise_count(cols).sum(axis=1)
+        wt_x = np.bitwise_count(np.arange(1 << n))
+        by_wt = np.argsort(wt_x, kind="stable")
+        starts = np.searchsorted(wt_x[by_wt], np.arange(n + 1))
+        s2 = np.zeros((m * n + 1, n + 1, n + 1), dtype=np.int64)
+        block = max(1, _BLOCK_CELLS >> n)
+        for lo in range(0, len(cols), block):
+            c = cols[lo:lo + block]
+            syn = np.zeros((len(c), 1 << n), dtype=cols.dtype)
+            for i in range(n):
+                np.bitwise_xor(syn[:, :1 << i], c[:, i:i + 1],
+                               out=syn[:, 1 << i:2 << i])
+            counts = np.add.reduceat((syn == 0)[:, by_wt], starts, axis=1,
+                                     dtype=np.int64)
+            weighted = counts * mult[lo:lo + block, None]
+            t = ones[lo:lo + block]
+            for wt_h in np.unique(t):
+                sel = t == wt_h
+                s2[wt_h] += weighted[sel].T @ counts[sel]
+        _class_sums_cache[key] = (s2[:, 0], s2)
     return _class_sums_cache[key]
 
 
 def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
-    """Exact moments by iterating all 2^(m n) matrices."""
-    if m * n >= 64 or _peak_bytes(m, n) > _PEAK_BYTES_LIMIT:
+    """Exact moments over all 2^(m n) matrices.  A shape over the budget
+    is refused before anything is allocated, and so is one whose int64
+    sums could overflow: C(mn, t) matrices with t ones times
+    C(n, w1) C(n, w2) codeword pairs bounds every sum."""
+    # 2^m bounds the class count from below, and 2^n the cells per class.
+    small = m <= _LOG2_MAX_CLASSES and n <= _LOG2_MAX_CELLS
+    classes = math.comb((1 << m) + n - 1, n) if small else 0
+    mn = m * n
+    if (not small or classes > 1 << _LOG2_MAX_CLASSES
+            or classes << n > 1 << _LOG2_MAX_CELLS
+            or math.comb(mn, mn // 2) * math.comb(n, n // 2) ** 2 >= 1 << 63):
         raise GuardExceededError(
-            f"enumerating 2^{m * n} matrices needs more than the oracle's "
-            f"{_PEAK_BYTES_LIMIT >> 30} GiB memory limit")
+            f"the {m}x{n} ensemble is over the oracle's budget of "
+            f"2^{_LOG2_MAX_CLASSES} column multisets, 2^{_LOG2_MAX_CELLS} "
+            "multiset-word parity checks and sums that fit in int64")
     k = _check_k(n, Fraction(k))
     p = k / n
-    mn = m * n
     s1, s2 = _weight_class_sums(m, n)
 
     # Matrices group by total ones count: P(H) = p^wt (1-p)^(mn-wt).

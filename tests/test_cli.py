@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -128,8 +129,8 @@ def test_domain_errors_exit_nonzero(capsys):
          "--l2", "0.5", "--refine-tol", "nan"),
         ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
          "--refine-tol", "nan"),
-        ("oracle", "--m", "5", "--n", "5", "--k", "1"),
-        ("oracle", "--m", "3", "--n", "8", "--k", "2"),  # about 9 GiB
+        ("oracle", "--m", "2", "--n", "20", "--k", "5"),  # 2^30.8 checks
+        ("oracle", "--m", "21", "--n", "1", "--k", "1/2"),  # 2^21 classes
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
     ]
     sim = ("sim", "--m", "2", "--n", "4", "--k", "1", "--eps", "0.1",
@@ -148,6 +149,29 @@ def test_domain_errors_exit_nonzero(capsys):
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert named.get(argv, "") in err
+
+
+def test_cov_size_guard_refuses_before_allocating(capsys):
+    shape = ("--m", "2", "--n", "20000", "--k", "2")
+    for argv in [("cov",) + shape, ("var-pu",) + shape + ("--eps", "0.1")]:
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "n <= 4096" in err
+        assert peak < 1 << 20, peak
+
+
+def test_oracle_beyond_small_shapes(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--m", "3", "--n", "8",
+                           "--k", "2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-1][0] == "overall" and rows[-1][5] == "PASS"
 
 
 def test_exact_pu_matrix_file(capsys, tmp_path):

@@ -7,12 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import udestats.oracle as oracle
 from udestats.gf2 import BitVector
-from udestats.oracle import (_PEAK_BYTES_LIMIT, GuardExceededError,
-                             _class_sums_cache, _peak_bytes,
-                             _per_matrix_weight_counts_generic,
-                             _per_matrix_weight_counts_single_row,
-                             _weight_class_sums,
+from udestats.oracle import (GuardExceededError, _class_sums_cache,
+                             _column_classes, _weight_class_sums,
                              avg_weight_exact, brute_force_joint_pass,
                              cov_weight_exact, enumerate_ensemble,
                              joint_pass_prob_exact, second_moment_weight_exact,
@@ -100,26 +98,81 @@ def test_cov_positive_semidefinite():
         _leading_minors_nonneg(mom.cov, n)
 
 
-def test_single_row_shortcut_matches_generic():
-    for n in range(1, 11):
-        a, wa = _per_matrix_weight_counts_single_row(n)
-        b, wb = _per_matrix_weight_counts_generic(1, n)
-        assert np.array_equal(a, b) and np.array_equal(wa, wb)
+# The per-matrix enumeration the multiset oracle replaced, kept as its
+# reference: every one of the 2^(mn) matrices, by its id t (row i in bits
+# [n i, n (i + 1))), checked against every word.
+
+def _single_row_counts(n):
+    """A[t, w] at m = 1 from one row per weight: column permutations
+    preserve all Hamming weights."""
+    xs = np.arange(1 << n, dtype=np.uint32)
+    wt_x = np.bitwise_count(xs)
+    wt_h = wt_x.astype(np.int64)
+    rep = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for wt in range(n + 1):
+        valid = (np.bitwise_count(xs & np.uint32((1 << wt) - 1)) & 1) == 0
+        rep[wt] = np.bincount(wt_x[valid], minlength=n + 1)[:n + 1]
+    return rep[wt_h], wt_h
 
 
-def test_generic_path_partition_invariance():
-    # counts must not depend on how the x-loop is blocked; compare the
-    # vectorized path against a per-matrix python enumeration
-    m, n = 2, 4
-    counts, wt_h = _per_matrix_weight_counts_generic(m, n)
-    for t in (0, 5, 77, 255):
-        rows = [(t >> (n * i)) & ((1 << n) - 1) for i in range(m)]
-        expect = [0] * (n + 1)
-        for x in range(1 << n):
-            if all((r & x).bit_count() % 2 == 0 for r in rows):
-                expect[x.bit_count()] += 1
-        assert list(counts[t]) == expect
-        assert wt_h[t] == sum(r.bit_count() for r in rows)
+def _per_matrix_counts(m, n):
+    """A[t, w] = A_w of matrix t, and the ones count of each matrix."""
+    ids = np.arange(1 << (m * n), dtype=np.uint64)
+    rows = [((ids >> np.uint64(n * i)) & np.uint64((1 << n) - 1))
+            .astype(np.uint32) for i in range(m)]
+    wt_h = sum(np.bitwise_count(r).astype(np.int64) for r in rows)
+    xs = np.arange(1 << n, dtype=np.uint32)
+    wt_x = np.bitwise_count(xs)
+    counts = np.zeros((len(ids), n + 1), dtype=np.int64)
+    for start in range(0, 1 << n, 64):
+        xb = xs[start:start + 64]
+        valid = np.ones((len(ids), len(xb)), dtype=bool)
+        for r in rows:
+            valid &= (np.bitwise_count(r[:, None] & xb[None, :]) & 1) == 0
+        wb = wt_x[start:start + 64]
+        for w in np.unique(wb):
+            counts[:, w] += valid[:, wb == w].sum(axis=1)
+    return counts, wt_h
+
+
+def _reference_class_sums(m, n):
+    counts, wt_h = (_single_row_counts(n) if m == 1
+                    else _per_matrix_counts(m, n))
+    s1 = np.zeros((m * n + 1, n + 1), dtype=np.int64)
+    s2 = np.zeros((m * n + 1, n + 1, n + 1), dtype=np.int64)
+    for wt in range(m * n + 1):
+        sel = counts[wt_h == wt]
+        s1[wt] = sel.sum(axis=0)
+        s2[wt] = sel.T @ sel
+    return s1, s2
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17)
+                if m * n <= 16]
+
+
+@pytest.mark.parametrize("m, n", SMALL_SHAPES)
+def test_class_sums_match_per_matrix_reference(m, n, monkeypatch):
+    # Small blocks, so most shapes span several, the last one partial.
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 1 << 10)
+    _class_sums_cache.pop((m, n), None)
+    s1, s2 = _weight_class_sums(m, n)
+    r1, r2 = _reference_class_sums(m, n)
+    assert s1.dtype == s2.dtype == np.int64
+    assert np.array_equal(s1, r1) and np.array_equal(s2, r2)
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (2, 16), (5, 5)])
+def test_multiplicities_count_every_matrix(m, n):
+    cols, mult = _column_classes(m, n)
+    assert len(cols) == math.comb((1 << m) + n - 1, n)
+    assert (np.diff(cols.astype(np.int64), axis=1) >= 0).all()
+    assert int(mult.sum()) == 1 << (m * n)
+    s1, _ = _weight_class_sums(m, n)
+    # A_0 = 1: row t counts the C(mn, t) matrices with t ones, and the
+    # rows sum to 2^(mn)
+    assert [int(v) for v in s1[:, 0]] == [math.comb(m * n, t)
+                                          for t in range(m * n + 1)]
 
 
 def test_brute_force_joint_pass_identities():
@@ -183,35 +236,37 @@ def test_verify_small_cases():
                 assert mom.cov[w1][w2] == 0
 
 
-def test_guards():
-    with pytest.raises(GuardExceededError):
-        enumerate_ensemble(5, 5, 2)
+def test_guards(monkeypatch):
+    # cells and int64; 2^21 > 2^20 classes; classes alone (C(2049, 2))
+    for m, n in [(2, 20), (21, 1), (11, 2)]:
+        with pytest.raises(GuardExceededError):
+            enumerate_ensemble(m, n, 1)
     with pytest.raises(GuardExceededError):
         brute_force_joint_pass(1, 21, 5, BitVector(21, 1), BitVector(21, 3))
     with pytest.raises(ValueError):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
-
-
-def test_memory_limit_accepts_benchmarked_shapes():
-    shapes = [(m, n) for m in range(1, 17) for n in range(1, 17)
-              if m * n <= 16] + [(4, 5), (2, 10), (1, 20)]
-    assert all(_peak_bytes(m, n) <= _PEAK_BYTES_LIMIT for m, n in shapes)
+    # No shape within the other two caps reaches the int64 bound; with a
+    # wider cell cap 2x20 would, and it must be refused before enumerating.
+    monkeypatch.setattr(oracle, "_LOG2_MAX_CELLS", 40)
+    monkeypatch.setattr(oracle, "_column_classes", None)
+    with pytest.raises(GuardExceededError):
+        enumerate_ensemble(2, 20, 5)
 
 
 def test_memory_limit_refuses_before_allocating():
-    assert _peak_bytes(3, 8) > _PEAK_BYTES_LIMIT
     tracemalloc.start()
     try:
-        with pytest.raises(GuardExceededError):
-            enumerate_ensemble(3, 8, 2)
+        for m, n in [(2, 20), (21, 1), (3, 12), (10 ** 9, 10 ** 9)]:
+            with pytest.raises(GuardExceededError):
+                enumerate_ensemble(m, n, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("m, n", [(1, 16), (2, 8), (3, 5)])
-def test_peak_estimate_tracks_traced_memory(m, n):
+@pytest.mark.parametrize("m, n", [(4, 5), (2, 16)])
+def test_class_sums_memory_is_bounded(m, n):
     _class_sums_cache.pop((m, n), None)
     tracemalloc.start()
     try:
@@ -219,4 +274,12 @@ def test_peak_estimate_tracks_traced_memory(m, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.75 * peak <= _peak_bytes(m, n) <= 1.25 * peak
+    assert peak < 16 << 20, peak
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (4, 6), (2, 16), (5, 5)])
+def test_verify_beyond_small_shapes(m, n):
+    for k in (Fraction(n, 4), Fraction(n, 2)):
+        rep = verify_closed_forms(m, n, k)
+        assert rep["status"] == "PASS", (k, rep["max_rel_err"])
+        assert rep["max_rel_err"] < 1e-13, k
