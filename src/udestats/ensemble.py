@@ -227,7 +227,7 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     """
     n, m = ens.n, ens.m
     # z = 0 gives z^w = 0 and 1 - z^(2v) = 1, reproducing the random branch.
-    log_z = math.log(ens.z) if ens.z > 0.0 else -math.inf
+    log_z = math.log1p(-2.0 * ens.p) if ens.z > 0.0 else -math.inf
     zpow = np.ones(2 * n + 1)           # z^e for e = w1 + w2 - 2v <= 2n
     zpow[1:] = np.exp(np.arange(1, 2 * n + 1) * log_z)
     one_minus = np.zeros(n + 1)         # 1 - z^(2v) for v = 0..n

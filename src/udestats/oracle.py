@@ -1,11 +1,12 @@
 """Exhaustive exact-arithmetic ground truth for tiny ensembles.
 
-Every matrix in a small Bernoulli ensemble is enumerated with its exact
-rational probability; moments, covariances and undetected-error
-polynomials come out as exact Fractions.  This is the adjudicator for
-the closed-form module (and for the two typos in the published worked
-example: the mean's eps coefficient and the second moment's eps^3
-coefficient).
+Every matrix in a small Bernoulli ensemble counts with its exact
+probability, a^t (b-a)^(mn-t) / b^mn at t ones for p = k/n = a/b in
+lowest terms.  Moments are integer numerators over b^mn, and each output
+value (moment, covariance or polynomial coefficient) is one exact
+Fraction.  This is the adjudicator for the closed-form module (and for
+the two typos in the published worked example: the mean's eps
+coefficient and the second moment's eps^3 coefficient).
 
 A matrix's weight distribution depends only on the multiset of its
 columns, and so does its probability, so the oracle checks one matrix
@@ -139,31 +140,32 @@ def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
             f"2^{_LOG2_MAX_CLASSES} column multisets, 2^{_LOG2_MAX_CELLS} "
             "multiset-word parity checks and sums that fit in int64")
     k = _check_k(n, Fraction(k))
-    p = k / n
-    s1, s2 = _weight_class_sums(m, n)
+    a, b = (k / n).as_integer_ratio()
+    _, s2 = _weight_class_sums(m, n)
 
-    # Matrices group by total ones count: P(H) = p^wt (1-p)^(mn-wt).
-    prob_wt = [p ** wt * (1 - p) ** (mn - wt) for wt in range(mn + 1)]
-    e_aw = [sum(prob_wt[wt] * int(s1[wt, w]) for wt in range(mn + 1))
-            for w in range(n + 1)]
-    e_awaw = [[sum(prob_wt[wt] * int(s2[wt, w1, w2]) for wt in range(mn + 1))
-               for w2 in range(n + 1)] for w1 in range(n + 1)]
-    cov = [[e_awaw[w1][w2] - e_aw[w1] * e_aw[w2] for w2 in range(n + 1)]
-           for w1 in range(n + 1)]
+    # Numerators over den = b^mn; row 0 is E[A_w]'s, as A_0 = 1.
+    den = b ** mn
+    weights = np.array([a ** wt * (b - a) ** (mn - wt)
+                        for wt in range(mn + 1)], dtype=object)
+    n2 = (weights @ s2.reshape(mn + 1, -1).astype(object)).reshape(n + 1, -1)
+    cov_n = n2 * den - np.multiply.outer(n2[0], n2[0])
+    e_aw = [Fraction(v, den) for v in n2[0]]
+    e_awaw = [[Fraction(v, den) for v in row] for row in n2]
+    cov = [[Fraction(v, den * den) for v in row] for row in cov_n]
 
     e_pu = poly_from_weight_counts(e_aw, n)
     # Group the double sum by w1 + w2: same Bernstein factor in eps.
-    by_total = [Fraction(0)] * (2 * n + 1)
-    for w1 in range(1, n + 1):
-        for w2 in range(1, n + 1):
-            by_total[w1 + w2] += e_awaw[w1][w2]
-    e_pu2 = poly_from_weight_counts(by_total, 2 * n)
+    by_total = [0] * (2 * n + 1)
+    for (w1, w2), v in np.ndenumerate(n2[1:, 1:]):
+        by_total[w1 + w2 + 2] += v
+    e_pu2 = poly_from_weight_counts([Fraction(v, den) for v in by_total],
+                                    2 * n)
     var_pu = e_pu2 - e_pu * e_pu
 
     matrix_probs = None
     if (1 << mn) <= 4096:
-        matrix_probs = tuple(p ** t.bit_count() * (1 - p) ** (mn - t.bit_count())
-                             for t in range(1 << mn))
+        probs = np.array([Fraction(v, den) for v in weights], dtype=object)
+        matrix_probs = tuple(probs[np.bitwise_count(np.arange(1 << mn))])
 
     return EnsembleMoments(
         m=m, n=n, k=k,

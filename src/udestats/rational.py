@@ -3,7 +3,8 @@ coefficients.
 
 Used wherever exactness matters: per-matrix undetected-error-probability
 polynomials and the exhaustive-enumeration moments that adjudicate closed
-forms coefficient by coefficient.
+forms coefficient by coefficient.  Products and weight-count polynomials
+work on integer numerators over one denominator: one Fraction per output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -69,13 +70,13 @@ class RationalPoly:
     def __mul__(self, other) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
             return RationalPoly(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+        xs, dx = _numerators(self.coeffs)
+        ys, dy = _numerators(other.coeffs)
+        out = [0] * (len(xs) + len(ys))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+        return RationalPoly(Fraction(c, dx * dy) for c in out)
 
     __rmul__ = __mul__
 
@@ -114,11 +115,22 @@ class RationalPoly:
         return " ".join(parts)
 
 
+def _numerators(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """Integer numerators of values over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [int(v.numerator) * (den // v.denominator) for v in values], den
+
+
 def poly_from_weight_counts(counts: Sequence[Rat], n: int) -> RationalPoly:
-    """sum_{w>=1} A_w eps^w (1-eps)^(n-w) as an exact polynomial."""
-    acc = RationalPoly.zero()
-    for w in range(1, n + 1):
-        a = counts[w]
-        if a:
-            acc = acc + RationalPoly.bernstein(w, n) * a
-    return acc
+    """sum_{w>=1} A_w eps^w (1-eps)^(n-w) as an exact polynomial.
+
+    Horner in (1 - eps): after step w, acc holds
+    sum_{v<=w} A_v eps^v (1-eps)^(w-v) as numerators over one denominator.
+    """
+    nums, den = _numerators(counts[1:n + 1])
+    acc = [0] * (n + 1)
+    for w, a in enumerate(nums, 1):
+        for j in range(w, 1, -1):       # times (1 - eps); acc[0] stays 0
+            acc[j] -= acc[j - 1]
+        acc[w] += a
+    return RationalPoly(Fraction(c, den) for c in acc)

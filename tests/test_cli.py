@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,20 @@ def test_oracle_report(capsys):
     assert by_name["cov[1,2]"]["oracle_value"] == "3/16"
     assert by_name["cov[2,2]"]["oracle_value"] == "15/64"
     assert by_name["e_pu_eps1_coeff"]["status"] == "MISMATCH_WITH_PAPER"
+
+
+def test_module_entry_point():
+    # From a checkout with no install, `python -m udestats` is the CLI.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "udestats", "oracle",
+                          "--m", "1", "--n", "2", "--k", "1/2"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert rows[-1][0] == "overall" and rows[-1][5] == "PASS"
 
 
 def test_oracle_csv(capsys):

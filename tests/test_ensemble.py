@@ -280,6 +280,19 @@ def test_cov_rows_match_exact_fractions_at_n100():
             assert abs(cov[w1, w2] - ref) * math.log(2) <= 1e-12, (w1, w2)
 
 
+@pytest.mark.parametrize("k", ["1e-9", "1e-12"])
+def test_cov_weight_at_small_k(k):
+    # 1 - z^(2v) for z = 1 - 2p cancels; rounding z before its log would
+    # cost about 1e-16 / (2p) relative.
+    m, n = 2, 3
+    ens = BernoulliEnsemble(m, n, float(k))
+    for w1 in range(1, n + 1):
+        for w2 in range(w1, n + 1):
+            exact = float(oracle.cov_weight_exact(m, n, Fraction(k), w1, w2))
+            got = cov_weight(ens, w1, w2).to_float()
+            assert abs(got - exact) <= 1e-12 * exact, (w1, w2)
+
+
 def test_cov_weight_matches_mpmath_at_n2000():
     m, n, k = 1000, 2000, 4.0
     ens = BernoulliEnsemble(m, n, k)

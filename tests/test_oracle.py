@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,12 @@ import pytest
 
 import udestats.oracle as oracle
 from udestats.gf2 import BitVector
-from udestats.oracle import (GuardExceededError, _class_sums_cache,
-                             _column_classes, _weight_class_sums,
-                             avg_weight_exact, brute_force_joint_pass,
-                             cov_weight_exact, enumerate_ensemble,
-                             joint_pass_prob_exact, second_moment_weight_exact,
-                             verify_closed_forms)
+from udestats.oracle import (EnsembleMoments, GuardExceededError,
+                             _class_sums_cache, _column_classes,
+                             _weight_class_sums, avg_weight_exact,
+                             brute_force_joint_pass, cov_weight_exact,
+                             enumerate_ensemble, joint_pass_prob_exact,
+                             second_moment_weight_exact, verify_closed_forms)
 from udestats.rational import RationalPoly
 
 
@@ -283,3 +284,68 @@ def test_verify_beyond_small_shapes(m, n):
         rep = verify_closed_forms(m, n, k)
         assert rep["status"] == "PASS", (k, rep["max_rel_err"])
         assert rep["max_rel_err"] < 1e-13, k
+
+
+@pytest.mark.parametrize("k", ["1e-9", "1e-12"])
+def test_verify_at_small_k(k):
+    # z = 1 - 2p must not be rounded before 1 - z^(2v) is formed from it.
+    rep = verify_closed_forms(2, 3, Fraction(k))
+    assert rep["status"] == "PASS", rep["max_rel_err"]
+
+
+# The Fraction-loop moment algebra that the integer numerators replaced,
+# kept as their reference: P(H) = p^wt (1-p)^(mn-wt) as Fractions, each
+# moment a sum over wt, and the polynomials from Bernstein terms.
+
+def _bernstein_sum(counts, n):
+    acc = RationalPoly.zero()
+    for w in range(1, n + 1):
+        if counts[w]:
+            acc = acc + RationalPoly.bernstein(w, n) * counts[w]
+    return acc
+
+
+def _product(a, b):
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return RationalPoly(out)
+
+
+def _reference_moments(m, n, k):
+    mn, p = m * n, k / n
+    s1, s2 = _weight_class_sums(m, n)
+    prob_wt = [p ** wt * (1 - p) ** (mn - wt) for wt in range(mn + 1)]
+    e_aw = [sum(prob_wt[wt] * int(s1[wt, w]) for wt in range(mn + 1))
+            for w in range(n + 1)]
+    e_awaw = [[sum(prob_wt[wt] * int(s2[wt, w1, w2]) for wt in range(mn + 1))
+               for w2 in range(n + 1)] for w1 in range(n + 1)]
+    cov = [[e_awaw[w1][w2] - e_aw[w1] * e_aw[w2] for w2 in range(n + 1)]
+           for w1 in range(n + 1)]
+    by_total = [Fraction(0)] * (2 * n + 1)
+    for w1 in range(1, n + 1):
+        for w2 in range(1, n + 1):
+            by_total[w1 + w2] += e_awaw[w1][w2]
+    e_pu = _bernstein_sum(e_aw, n)
+    e_pu2 = _bernstein_sum(by_total, 2 * n)
+    matrix_probs = None
+    if mn <= 12:
+        matrix_probs = tuple(p ** t.bit_count()
+                             * (1 - p) ** (mn - t.bit_count())
+                             for t in range(1 << mn))
+    return EnsembleMoments(
+        m, n, k, tuple(e_aw), tuple(map(tuple, e_awaw)),
+        tuple(map(tuple, cov)), e_pu, e_pu2, e_pu2 - _product(e_pu, e_pu),
+        matrix_probs)
+
+
+@pytest.mark.parametrize("m, n", SMALL_SHAPES + [
+    (4, 5), (2, 10), (1, 20), (3, 8), (2, 16), (5, 5)])
+def test_moments_match_fraction_reference(m, n):
+    # n/3 and 3n/10 give p = a/b with a != 1 and b not a power of 2.
+    for k in (Fraction(n, 4), Fraction(n, 2), Fraction(n, 3),
+              Fraction(3 * n, 10)):
+        got, ref = enumerate_ensemble(m, n, k), _reference_moments(m, n, k)
+        for f in fields(EnsembleMoments):
+            assert getattr(got, f.name) == getattr(ref, f.name), (k, f.name)

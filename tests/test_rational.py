@@ -11,6 +11,27 @@ from udestats.rational import RationalPoly, poly_from_weight_counts
 
 coeff_lists = st.lists(st.fractions(min_value=-10, max_value=10,
                                     max_denominator=64), max_size=8)
+# Ints and Fractions whose denominators differ, as weight counts mix them.
+mixed_lists = st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                 st.fractions(max_denominator=10 ** 6)),
+                       max_size=12)
+
+
+# Naive Fraction references for the integer-numerator products.
+
+def _naive_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return RationalPoly(out)
+
+
+def _naive_weight_poly(counts, n):
+    acc = RationalPoly.zero()
+    for w in range(1, n + 1):
+        acc = acc + RationalPoly.bernstein(w, n) * counts[w]
+    return acc
 
 
 def test_zero_and_trim():
@@ -53,6 +74,17 @@ def test_ring_ops_match_pointwise(a, b):
     assert (pa - pb)(e) == pa(e) - pb(e)
     assert (pa * pb)(e) == pa(e) * pb(e)
     assert (3 * pa)(e) == 3 * pa(e)
+
+
+@given(mixed_lists, mixed_lists)
+def test_product_matches_naive(a, b):
+    assert RationalPoly(a) * RationalPoly(b) == _naive_product(a, b)
+
+
+@given(mixed_lists.filter(len))
+def test_weight_poly_matches_naive(counts):
+    n = len(counts) - 1
+    assert poly_from_weight_counts(counts, n) == _naive_weight_poly(counts, n)
 
 
 @given(coeff_lists)
