@@ -7,12 +7,12 @@ located by a global grid scan followed by a zoom refinement of every
 local candidate; half-open boundary limits are injected as explicit
 candidates.
 
-Every objective takes arrays: a grid scan is one call per chunk of rows,
-and each refinement call samples 15 evenly spaced points of every live
-bracket (all local tops, and the exponent's geometric tail, together)
-and narrows each bracket 8x around its best point.  The Var[P_U] growth
-rate scans all its (l1, l2) pairs in one batch, and its coordinate
-refinement evaluates 15 inner sups per call.  Public functions return
+Every objective takes arrays: a grid scan evaluates at most _GRID_CHUNK
+points per call, and each refinement call samples evenly spaced points
+of every live bracket (all local tops, and the exponent's geometric tail,
+together) and narrows each bracket around its best point.  The Var[P_U]
+growth rate is one sup over the simplex of parity-row states; its best
+grid points are refined alike, on 3-D boxes.  Public functions return
 Python floats for float arguments.
 
 The covariance growth rate's entropy term h(l1) + l1 h(v / l1) +
@@ -35,10 +35,15 @@ _REFINE_MAX_ITER = 200
 # per call.
 _ZOOM_POINTS = 15
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS + 2) / (_ZOOM_POINTS + 1)
+# Interior points per box axis and call of _box_zoom: 343 a box, 4x
+# narrower per call.
+_BOX_POINTS = 7
+_BOX_STEPS = np.arange(_BOX_POINTS + 2) / (_BOX_POINTS + 1)
 # Points per objective call in grid scans and refinements: the temporaries
-# stay in cache, and their memory is bounded whatever the number of rows.
+# stay in cache, and their memory is bounded whatever the number of
+# brackets.
 _GRID_CHUNK = 1 << 12
-# A row's grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
+# A grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
 # point; 2^21 points take about 100 MB.
 _MAX_GRID_POINTS = 1 << 21
 
@@ -144,11 +149,11 @@ def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
                       f.limit0 + l1e)
 
 
-def _in_chunks(fn, x, owner):
-    """fn(x, owner) evaluated at most _GRID_CHUNK points per call."""
+def _in_chunks(fn, x):
+    """fn(x) evaluated at most _GRID_CHUNK points per call."""
     if len(x) <= _GRID_CHUNK:
-        return fn(x, owner)
-    return np.concatenate([fn(x[i:i + _GRID_CHUNK], owner[i:i + _GRID_CHUNK])
+        return fn(x)
+    return np.concatenate([fn(x[i:i + _GRID_CHUNK])
                            for i in range(0, len(x), _GRID_CHUNK)])
 
 
@@ -156,13 +161,12 @@ def _zoom_refine(fn, a, b, tol):
     """Maximization on every interval [a_i, b_i] down to width tol_i, all
     intervals together; returns the argmax array (bracket midpoints).
 
-    fn(x, idx) evaluates the objective of interval idx[j] at x[j].  Each
-    call samples _ZOOM_POINTS evenly spaced interior points of every live
-    bracket, and each bracket shrinks to the two neighbours of its first
-    best point, 8x narrower.  A bracket is done at width <= tol_i, when its
-    width stops shrinking (float resolution), or after _REFINE_MAX_ITER
-    calls.  No probe leaves its bracket, and an interval's result does not
-    depend on which others share the call.
+    Each call of fn samples _ZOOM_POINTS evenly spaced interior points of
+    every live bracket, and each bracket shrinks to the two neighbours of
+    its first best point, 8x narrower.  A bracket is done at width <=
+    tol_i, when its width stops shrinking (float resolution), or after
+    _REFINE_MAX_ITER calls.  No probe leaves its bracket, and an
+    interval's result does not depend on which others share the call.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
@@ -172,8 +176,7 @@ def _zoom_refine(fn, a, b, tol):
             break
         lo, hi = a[live, None], b[live, None]
         xs = np.clip(lo + _ZOOM_STEPS * (hi - lo), lo, hi)
-        ys = _in_chunks(fn, xs[:, 1:-1].ravel(),
-                        np.repeat(live, _ZOOM_POINTS)).reshape(len(live), -1)
+        ys = _in_chunks(fn, xs[:, 1:-1].ravel()).reshape(len(live), -1)
         top, r = np.argmax(ys, axis=1), np.arange(len(live))
         a[live], b[live] = xs[r, top], xs[r, top + 2]
         width = b[live] - a[live]
@@ -181,62 +184,59 @@ def _zoom_refine(fn, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
-    """Grid scan of every row's objective on its [lo_i, hi_i].
+def _box_zoom(fn, lo, hi, tol):
+    """Maximization on every 3-D box [lo_i, hi_i] (rows of coordinates),
+    all boxes together; returns the box midpoints.
 
-    fn(x, rows) evaluates the objective of row rows[j] at x[j].  Returns
-    the first grid maximum of each row, (argmax, value), and the local
-    tops of the grids as brackets (row, a, b) of their two neighbours, in
-    row and grid order.  A row with hi <= lo is its point hi.
+    Each call of fn(x, y, z) samples _BOX_POINTS interior points per axis
+    of every box, and each box shrinks on every axis to the neighbours of
+    its first best point.  After at least one call, the zoom stops when
+    every side is <= tol, when no box shrinks (float resolution), or after
+    _REFINE_MAX_ITER calls.  No probe leaves its box.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    best_x, best_y = hi.copy(), np.empty(len(lo))
-    flat = np.flatnonzero(hi <= lo)
-    if len(flat):
-        best_y[flat] = fn(hi[flat], flat)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    at = np.indices((_BOX_POINTS,) * 3).reshape(3, -1).T + 1
+    for _ in range(_REFINE_MAX_ITER):
+        width = hi - lo
+
+        def probe(i):
+            return np.clip(lo[:, None] + _BOX_STEPS[i] * width[:, None],
+                           lo[:, None], hi[:, None])
+        ys = fn(*probe(at).reshape(-1, 3).T).reshape(len(lo), -1)
+        top = at[np.argmax(ys, axis=1), None]
+        lo, hi = probe(top - 1)[:, 0], probe(top + 1)[:, 0]
+        if not ((hi - lo > tol).any() and (hi - lo < width).any()):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
+    """Grid scan of the objective fn on [lo, hi].
+
+    Returns the first grid maximum, (argmax, value), and the local tops of
+    the grid as brackets (a, b) of their two neighbours, in grid order.
+    An interval with hi <= lo is its point hi.
+    """
+    if hi <= lo:
+        return hi, fn(np.array([hi]))[0], (np.empty(0), np.empty(0))
     pts = cfg.grid_points
-    steps = np.arange(pts + 1)
-    scan = np.flatnonzero(hi > lo)
-    chunk = max(1, _GRID_CHUNK // (pts + 1))
-    tops = []
-    for i in range(0, len(scan), chunk):
-        rows = scan[i:i + chunk]
-        xs = lo[rows, None] + steps * ((hi[rows] - lo[rows]) / pts)[:, None]
-        ys = _in_chunks(fn, xs.ravel(), np.repeat(rows, pts + 1)
-                        ).reshape(xs.shape)
-        top = np.argmax(ys, axis=1)
-        best_x[rows] = xs[np.arange(len(rows)), top]
-        best_y[rows] = ys[np.arange(len(rows)), top]
-        pad = np.full((len(rows), 1), -np.inf)
-        r, j = np.nonzero((ys >= np.hstack([pad, ys[:, :-1]]))
-                          & (ys >= np.hstack([ys[:, 1:], pad])))
-        tops.append((rows[r], xs[r, np.maximum(j - 1, 0)],
-                     xs[r, np.minimum(j + 1, pts)]))
-    row, a, b = (np.concatenate(t) for t in zip(*tops)) if tops else \
-        (np.empty(0, dtype=int), np.empty(0), np.empty(0))
-    return best_x, best_y, (row, a, b)
+    xs = lo + np.arange(pts + 1) * ((hi - lo) / pts)
+    ys = _in_chunks(fn, xs)
+    top = int(np.argmax(ys))
+    pad = [-np.inf]
+    j = np.flatnonzero((ys >= np.concatenate([pad, ys[:-1]]))
+                       & (ys >= np.concatenate([ys[1:], pad])))
+    return xs[top], ys[top], (xs[np.maximum(j - 1, 0)],
+                              xs[np.minimum(j + 1, pts)])
 
 
-def _keep_best(best_x, best_y, row, x, y) -> None:
-    """Candidate (x, y) of row `row` replaces its row's best only when
-    strictly larger, as `if y > best` in candidate order would: the first
-    candidate of the largest value wins."""
-    top = np.full(len(best_y), -np.inf)
-    np.maximum.at(top, row, y)
-    win = np.flatnonzero((y == top[row]) & (y > best_y[row]))
-    first = win[np.unique(row[win], return_index=True)[1]]
-    best_x[row[first]] = x[first]
-    best_y[row[first]] = y[first]
-
-
-def _sup_rows(fn, lo, hi, cfg: OptimizerConfig) -> np.ndarray:
-    """Global sup of every row's objective on [lo_i, hi_i]: a grid scan,
-    then refinement of every local top, all rows together."""
-    best_x, best_y, (row, a, b) = _grid_tops(fn, lo, hi, cfg)
-    if len(row):
-        x = _zoom_refine(lambda x, i: fn(x, row[i]), a, b, cfg.refine_tol)
-        _keep_best(best_x, best_y, row, x, fn(x, row))
-    return best_y
+def _sup_rows(fn, lo, hi, cfg: OptimizerConfig) -> float:
+    """Global sup of the objective fn on [lo, hi]: a grid scan, then
+    refinement of every local top."""
+    _, best, (a, b) = _grid_tops(fn, lo, hi, cfg)
+    if len(a):
+        best = max(best, np.max(fn(_zoom_refine(fn, a, b, cfg.refine_tol))))
+    return float(best)
 
 
 def error_exponent(f: GrowthRate, eps: float,
@@ -256,20 +256,19 @@ def error_exponent(f: GrowthRate, eps: float,
         tail.append(tail[-1] / 2.0)
     tail = np.array(tail[1:])
     tx = float(tail[np.argmax(g.fn(tail))])
-    best_x, best_y, (_, a, b) = _grid_tops(lambda x, _: g.fn(x), [lo], [1.0],
-                                           cfg)
+    best_x, best_y, (a, b) = _grid_tops(g.fn, lo, 1.0, cfg)
     # The grid's local tops and the tail's bracket are refined together.
     tol = np.full(len(a) + 1, cfg.refine_tol)
     tol[-1] *= tx
-    x = _zoom_refine(lambda x, _: g.fn(x), np.append(a, tx / 2.0),
+    x = _zoom_refine(g.fn, np.append(a, tx / 2.0),
                      np.append(b, min(tx * 2.0, 1.0)), tol)
     y = g.fn(x)
-    _keep_best(best_x, best_y, np.zeros(len(a), dtype=int), x[:-1], y[:-1])
-    value, argmax = float(best_y[0]), float(best_x[0])
-    for cx, cy in ((0.0, g.limit0), (float(x[-1]), float(y[-1]))):
-        if cy > value:
-            value, argmax = cy, cx
-    return value, argmax
+    # Candidates in order: the grid, its refined tops, the l -> 0+ limit,
+    # the tail; the first of the largest value wins.
+    cx = np.concatenate([[best_x], x[:-1], [0.0, x[-1]]])
+    cy = np.concatenate([[best_y], y[:-1], [g.limit0, y[-1]]])
+    top = int(np.argmax(cy))
+    return float(cy[top]), float(cx[top])
 
 
 def _inner_sup_closed(R: float, a, b):
@@ -292,7 +291,7 @@ def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
     def obj(mu):
         return scaled_entropy(c, mu) + mu * la + (c - mu) * lb
     best = float(np.max(obj(c * np.arange(points + 1) / points)))
-    x = _zoom_refine(lambda mu, _: obj(mu), [0.0], [c], 1e-10)
+    x = _zoom_refine(obj, [0.0], [c], 1e-10)
     return max(best, float(obj(x)[0]))
 
 
@@ -307,89 +306,87 @@ def _b_term(k: float, l1, l2):
     return (1.0 + np.exp(-2.0 * k * l1)) * (1.0 + np.exp(-2.0 * k * l2))
 
 
-
-def _cov_growth_rates(rp: RatePoint, l1, l2, cfg: OptimizerConfig):
-    """T(l1, l2) for arrays of normalized weights in (0, 1], one sup over
-    the normalized overlap v per pair, all pairs in one batch.
+def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
+                    cfg: OptimizerConfig = OptimizerConfig()) -> float:
+    """T(l1, l2): growth rate of Cov(A_{l1 n}, A_{l2 n}) for the sparse
+    family, as the sup over the normalized overlap v.
 
     The entropy part h(l1) + l1 h(v/l1) + (1-l1) h((l2-v)/(1-l1)) is the
     entropy of the split (v, l1 - v, l2 - v, 1 - l1 - l2 + v), evaluated
     in that form.
     """
-    R, k = rp.R, rp.k
-    l1, l2 = np.minimum(l1, l2), np.maximum(l1, l2)
-    b, rest = _b_term(k, l1, l2), 1.0 - l1 - l2
-
-    def q(v, rows):
-        x1, x2 = l1[rows], l2[rows]
-        split = np.concatenate([v, x1 - v, x2 - v, rest[rows] + v])
-        ent = np.add.reduce(_xlog2x(split).reshape(4, -1))
-        return (-2.0 * (1.0 - R) - ent
-                + _inner_sup_closed(R, _a_term(k, x1, x2, v), b[rows]))
-
-    # lo = l1 - (1 - l2) is exactly l1 when l2 = 1 (l1 + l2 - 1 rounds
-    # below it), so such a row is its single point.
-    return _sup_rows(q, np.maximum(0.0, l1 - (1.0 - l2)), l1, cfg)
-
-
-def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
-                    cfg: OptimizerConfig = OptimizerConfig()) -> float:
-    """T(l1, l2): growth rate of Cov(A_{l1 n}, A_{l2 n}) for the sparse
-    family, as the sup over the normalized overlap."""
     if rp.k is None:
         raise ValueError("cov_growth_rate needs the sparse parameter k")
     if not (0.0 < l1 <= 1.0 and 0.0 < l2 <= 1.0):
         raise ValueError("normalized weights must lie in (0, 1]")
-    return float(_cov_growth_rates(rp, np.array([l1]), np.array([l2]),
-                                   cfg)[0])
+    R, k = rp.R, rp.k
+    l1, l2 = min(l1, l2), max(l1, l2)
+    b, rest = _b_term(k, l1, l2), 1.0 - l1 - l2
+
+    def q(v):
+        split = np.concatenate([v, l1 - v, l2 - v, rest + v])
+        ent = np.add.reduce(_xlog2x(split).reshape(4, -1))
+        return (-2.0 * (1.0 - R) - ent
+                + _inner_sup_closed(R, _a_term(k, l1, l2, v), b))
+
+    # lo = l1 - (1 - l2) is exactly l1 when l2 = 1 (l1 + l2 - 1 rounds
+    # below it), so such a pair is its single point.
+    return _sup_rows(q, max(0.0, l1 - (1.0 - l2)), l1, cfg)
+
+
+# Steps per axis of var_pu_growth_rate's row-state grid, and its best
+# points that are refined.
+_SIMPLEX_STEPS = 120
+_SIMPLEX_TOPS = 20
 
 
 def var_pu_growth_rate(rp: RatePoint, eps: float,
                        refine_tol: float = 1e-10) -> float:
-    """Growth rate of Var[P_U] for the sparse family: sup over (l1, l2)
-    of the BSC tilt plus T(l1, l2).  refine_tol is the tolerance of the
-    coordinate refinement; every inner sup uses fixed settings."""
+    """Growth rate of Var[P_U] for the sparse family, as a sup over the
+    states of the parity rows.
+
+    One row h gives Pr(hx = 0, hy = 0) = (1 + z^|x| + z^|y| + z^|x+y|)/4
+    with z = 1 - 2k/n; Pr(hx = 0) Pr(hy = 0) has z^(|x|+|y|) last.  Split
+    the m rows into i, j, k, l rows on these four terms and sum x, y over
+    the BSC: Var[P_U] is 4^-m times a sum of nonnegative terms, one per
+    (i, j, k, l) with l >= 1.  With m = (1-R) n, row fractions a and
+    c = 2k(1-R), the growth rate is the sup over the 3-simplex of
+    (1-R)(H(a) - 2) + log2 Q(a), where Q = (1-eps)^2 + eps(1-eps)
+    (e^(-c(a_j+a_l)) + e^(-c(a_k+a_l))) + eps^2 e^(-c(a_j+a_k)).
+
+    The objective is symmetric under j <-> k, so the grid covers
+    a_j <= a_k only, one a_j slice at a time.  The objective takes the
+    square roots of (a_j, a_k, a_l); its best grid points are refined
+    together by a box zoom on the roots until each box is refine_tol
+    wide, which also resolves a sup next to a face.
+    """
     if rp.k is None:
         raise ValueError("var_pu_growth_rate needs the sparse parameter k")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"need 0 < eps < 1/2, got {eps}")
     if not refine_tol > 0.0:
         raise ValueError("refine_tol must be positive")
-    le, l1e = math.log2(eps), math.log2(1.0 - eps)
+    R, c = rp.R, 2.0 * rp.k * (1.0 - rp.R)
+    q0, q1, q2 = (1.0 - eps) ** 2, eps * (1.0 - eps), eps ** 2
 
-    def s(l1, l2):
-        return ((l1 + l2) * le + (2.0 - l1 - l2) * l1e
-                + _cov_growth_rates(rp, l1, l2, _COARSE))
+    def f(*t):
+        j, k, l = np.square(t)
+        i = 1.0 - j - k - l
+        ent = -(_xlog2x(i) + _xlog2x(l) + (_xlog2x(j) + _xlog2x(k)))
+        q = (q0 + q1 * (np.exp(-c * (j + l)) + np.exp(-c * (k + l)))
+             + q2 * np.exp(-c * (j + k)))
+        return np.where(i >= 0.0, (1.0 - R) * (ent - 2.0) + np.log2(q),
+                        -np.inf)
 
-    # Coarse scan: uniform grid plus a geometric tail toward 0 so suprema
-    # approached at vanishing weight are not missed.  Pairs with l2 >= l1
-    # only (symmetry), in the order of a row-by-row scan, after the
-    # starting point (eps, eps).
-    axis = [i / 48.0 for i in range(1, 49)]
-    g = 1.0 / 48.0
-    while g > 1e-5:
-        g /= 4.0
-        axis.append(g)
-    pairs = [(eps, eps)] + [(l1, l2) for l1 in axis for l2 in axis
-                            if l2 >= l1]
-    p1, p2 = np.array(pairs).T
-    ys = s(p1, p2)
-    i = int(np.argmax(ys[1:])) + 1
-    if not ys[i] > ys[0]:
-        i = 0
-    l1, l2, y = float(p1[i]), float(p2[i]), float(ys[i])
-    # Coordinate-wise refinement around the best cell.
-    span = 1.0 / 48.0
-    for _ in range(4):
-        l1 = float(_zoom_refine(
-            lambda x, _: s(x, np.full(len(x), l2)),
-            [max(l1 - span, 1e-9)], [min(l1 + span, 1.0)], refine_tol)[0])
-        l2 = float(_zoom_refine(
-            lambda x, _: s(np.full(len(x), l1), x),
-            [max(l2 - span, 1e-9)], [min(l2 + span, 1.0)], refine_tol)[0])
-        span /= 8.0
-    return max(y, float(s(np.array([l1]), np.array([l2]))[0]))
-
-
-# Inner nu-sup settings of every Var[P_U] growth-rate probe.
-_COARSE = OptimizerConfig(grid_points=256, refine_tol=1e-9)
+    n = _SIMPLEX_STEPS
+    gk, gl = np.indices((n + 1, n + 1)).reshape(2, -1)
+    xs, ys = np.empty((0, 3)), np.empty(0)
+    for j in range(n // 2 + 1):
+        cell = (gk >= j) & (j + gk + gl <= n)
+        x = np.column_stack([np.full(cell.sum(), j), gk[cell], gl[cell]]) / n
+        xs, ys = np.vstack([xs, x]), np.append(ys, f(*np.sqrt(x.T)))
+        top = np.argsort(ys)[-_SIMPLEX_TOPS:]
+        xs, ys = xs[top], ys[top]
+    t = _box_zoom(f, np.sqrt(np.maximum(xs - 1.0 / n, 0.0)),
+                  np.sqrt(np.minimum(xs + 1.0 / n, 1.0)), refine_tol)
+    return float(max(ys.max(), f(*t.T).max()))

@@ -58,9 +58,11 @@ def _parse_k(s: str) -> Fraction:
     """k as a Fraction that also converts to a float."""
     try:
         k = Fraction(s)
-        float(k)
+        underflow = k > 0 and float(k) == 0.0
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse k value {s!r}") from exc
+    if underflow:
+        raise ValueError(f"k value {s!r} underflows to 0 as a float")
     return k
 
 

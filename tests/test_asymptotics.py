@@ -14,7 +14,7 @@ from udestats.asymptotics import (OptimizerConfig, RatePoint, _a_term,
                                   exponent_objective, growth_rate_bernoulli,
                                   growth_rate_random, inner_sup_grid,
                                   scaled_entropy, var_pu_growth_rate)
-from udestats.ensemble import BernoulliEnsemble, cov_weight
+from udestats.ensemble import BernoulliEnsemble, Bsc, cov_weight, var_pu
 
 FAST = OptimizerConfig(grid_points=2048, refine_tol=1e-10)
 
@@ -67,21 +67,53 @@ def test_zoom_refine_max():
     # An interior maximum, maxima at either endpoint, a bracket near 1e-9
     # with a relative tolerance, and two tol-0 brackets, which must stop
     # where the width stops shrinking.  For the last bracket a + (b - a)
-    # rounds above b.
+    # rounds above b.  Each bracket has its own objective and call.
     p = np.array([0.3, 0.3, 0.3, 2e-8, 0.3, 0.9])
     a = np.array([0.0, 0.5, 0.0, 1e-9, 0.0, 0.00030368894239257704])
     b = np.array([1.0, 0.9, 0.2, 1e-9 + 3e-8, 1.0, 0.7710773769031211])
     tol = np.array([1e-10, 1e-10, 1e-10, 1e-10 * 2e-8, 0.0, 0.0])
-    calls = np.zeros(len(a), dtype=int)
-
-    def fn(t, i):
-        assert ((a[i] <= t) & (t <= b[i])).all()  # no probe leaves [a, b]
-        calls[np.unique(i)] += 1
-        return -((t - p[i]) / p[i]) ** 2
-    x = asy._zoom_refine(fn, a, b, tol)
     want = np.array([0.3, 0.5, 0.2, 2e-8, 0.3, b[5]])
-    assert (np.abs(x - want) <= np.maximum(tol, 1e-15)).all()
-    assert calls.max() < asy._REFINE_MAX_ITER
+    for i in range(len(a)):
+        calls = []
+
+        def fn(t, i=i):
+            assert ((a[i] <= t) & (t <= b[i])).all()  # no probe leaves [a, b]
+            calls.append(len(t))
+            return -((t - p[i]) / p[i]) ** 2
+        x = asy._zoom_refine(fn, [a[i]], [b[i]], tol[i])
+        assert x.shape == (1,)
+        assert abs(x[0] - want[i]) <= max(tol[i], 1e-15), i
+        assert len(calls) < asy._REFINE_MAX_ITER
+
+
+def test_box_zoom():
+    # 3-D boxes on a tilted ridge through p: one holding p, one with its
+    # sup on a corner, and alone with tol 0 a box near 1e-9, which must
+    # stop where it stops shrinking.
+    p, d = np.array([0.3, 0.6, 0.2]), np.array([1.0, -2.0, 1.0])
+    lo = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.4]])
+    hi = np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 0.9]])
+    calls = []
+
+    def fn(x, y, z):
+        calls.append(len(x))
+        r = np.stack([x, y, z], axis=-1) - p
+        return -((r * r).sum(axis=-1) + 50.0 * (r @ d) ** 2)
+    x = asy._box_zoom(fn, lo, hi, 1e-10)
+    assert x.shape == lo.shape
+    assert np.abs(x[0] - p).max() < 1e-10
+    # the sup of the second box is its corner (0.5, 0.5, 0.4)
+    steps = np.linspace(0.0, 1.0, 41)
+    grid = lo[1] + np.stack(np.meshgrid(steps, steps, steps), -1).reshape(
+        -1, 3) * (hi[1] - lo[1])
+    assert list(grid[np.argmax(fn(*grid.T))]) == [0.5, 0.5, 0.4]
+    assert np.abs(x[1] - [0.5, 0.5, 0.4]).max() < 1e-10
+    calls.clear()
+    tiny = asy._box_zoom(fn, [[1e-9] * 3], [[2e-9] * 3], 0.0)
+    # fn rises toward (lo, hi, lo), by less than its rounding within 1e-15
+    # of that corner
+    assert np.abs(tiny[0] - [1e-9, 2e-9, 1e-9]).max() < 1e-15
+    assert len(calls) < asy._REFINE_MAX_ITER
 
 
 def test_error_exponent_random():
@@ -162,6 +194,68 @@ def test_var_pu_growth_rate_bounds():
     assert got >= s_diag - 1e-9
 
 
+@pytest.mark.parametrize("R, k, eps, want, tol", [
+    # Points where the nested (l1, l2) search fell short by 1.9e-12,
+    # 6.5e-12 and 2.6e-9.
+    (0.5, 20.0, 0.01, -0.0289978094503002, 1e-14),
+    (0.3, 8.0, 0.3, -1.0234144220080381, 1e-14),
+    (0.1, 20.0, 0.4, -1.4739311492706293, 1e-14),
+    # A sup next to the face a_j = a_k = 0, at a_j = a_k = 9.4e-14, and
+    # 1.35e-13 above the vertex a_i = 1; 40-digit mpmath reads
+    # -0.99999999999986499762.
+    (0.5, 50.0, 0.3, -0.999999999999865, 1e-15),
+    # Values of the nested search where it was accurate.
+    (0.5, 4.0, 0.05, -0.12645615706877555, 1e-13),
+    (0.5, 4.0, 0.1, -0.25610588744518825, 1e-13),
+    (0.5, 4.0, 0.2, -0.5216006996507496, 1e-13),
+    (0.5, 4.0, 0.3, -0.7736882838002268, 1e-13),
+    (0.5, 4.0, 0.4, -0.9138351533064535, 1e-13),
+    (0.5, 20.0, 0.1, -0.30399081578911163, 1e-13),
+    (0.8, 2.0, 0.05, -0.04584927562069435, 1e-13),
+    (0.5, 4.0, 0.01, -0.025018570938966575, 1e-13),
+    (0.9, 4.0, 0.1, -0.08256643287355236, 1e-13),
+    (0.5, 0.5, 0.1, -0.06096163854794223, 1e-13),
+    (0.5, 4.0, 0.45, -0.9419850192013537, 1e-13),
+])
+def test_var_pu_growth_rate_values(R, k, eps, want, tol):
+    assert abs(var_pu_growth_rate(RatePoint(R, k), eps) - want) <= tol
+
+
+def test_var_pu_growth_rate_is_the_finite_n_limit():
+    # |(1/n) log2 Var[P_U] - limit| at k = 4, eps = 0.1 was 0.0320,
+    # 0.0113, 0.0036 for R = 0.5 and 0.0263, 0.0088, 0.0025 for R = 0.8.
+    for R in (0.5, 0.8):
+        lim = var_pu_growth_rate(RatePoint(R, 4.0), 0.1)
+        gaps = [abs(var_pu(BernoulliEnsemble(round((1 - R) * n), n, 4.0),
+                           Bsc(0.1)).log2 / n - lim) for n in (100, 200, 400)]
+        assert gaps[0] > gaps[1] > gaps[2], R
+        assert gaps[2] < 0.004, R
+
+
+@pytest.mark.parametrize("R, k, eps", [
+    (0.3, 0.5, 0.01), (0.5, 4.0, 0.1), (0.5, 20.0, 0.01), (0.7, 2.0, 0.3),
+    (0.9, 20.0, 0.45), (0.3, 8.0, 0.2)])
+def test_error_exponent_is_the_row_state_sup(R, k, eps):
+    # E[P_U] = 2^-m sum_j C(m, j) ((1 - eps + eps z^j)^n - (1 - eps)^n)
+    # over the number j of rows on z^|x|, z = 1 - 2k/n, so its growth rate
+    # is also sup_a (1-R)(h(a) - 1) + log2(1 - eps + eps e^(-ca)) with
+    # c = 2k(1-R): a grid, then the scalar zoom around its best point.
+    c = 2.0 * k * (1.0 - R)
+
+    def g(a):
+        return ((1.0 - R) * (binary_entropy(a) - 1.0)
+                + np.log2(1.0 - eps + eps * np.exp(-c * a)))
+    n = 1 << 16
+    xs = np.arange(n + 1) / n
+    ys = g(xs)
+    i = int(np.argmax(ys))
+    x = _zoom_loop(lambda a: float(g(a)), xs[max(i - 1, 0)],
+                   xs[min(i + 1, n)], 1e-13)
+    want = max(float(ys[i]), float(g(x)))
+    value, _ = error_exponent(growth_rate_bernoulli(R, k), eps)
+    assert abs(value - want) <= 1e-12
+
+
 def test_optimizer_config_validation():
     for points in (8, 2**21 + 1):
         with pytest.raises(ValueError):
@@ -228,39 +322,26 @@ def test_zoom_refine_replays_the_loop(calls):
     tol = [1e-10, 1e-10, 1e-18, 1e-12, 1e-10, 0.0]
     expect = [_zoom_loop(one, *t) for t in zip(a, b, tol)]
     if calls == "batched":
-        x = list(asy._zoom_refine(lambda x, _: g.fn(x), a, b, tol))
+        x = list(asy._zoom_refine(g.fn, a, b, tol))
     else:
-        x = [asy._zoom_refine(lambda x, _: g.fn(x), [t[0]], [t[1]], [t[2]])[0]
+        x = [asy._zoom_refine(g.fn, [t[0]], [t[1]], [t[2]])[0]
              for t in zip(a, b, tol)]
     assert x == expect
 
 
 def test_sup_rows_replays_the_loop():
-    # One objective per row: the sparse exponent objective at several eps,
-    # on brackets that include a single point (hi <= lo).
+    # The sparse exponent objective at several eps, on intervals that
+    # include a single point (hi <= lo).
     f = growth_rate_bernoulli(0.5, 20.0)
-    eps = np.array([0.01, 0.05, 0.2, 0.4, 0.1])
-    le, l1e = np.log2(eps), np.log2(1.0 - eps)
-    lo, hi = [1e-4, 0.0, 0.1, 0.3, 0.5], [1.0, 0.5, 0.9, 0.3, 0.4]
-
-    def fn(x, rows):
-        return f.fn(x) + x * le[rows] + (1.0 - x) * l1e[rows]
     cfg = OptimizerConfig(grid_points=512, refine_tol=1e-10)
-    got = asy._sup_rows(fn, lo, hi, cfg)
-    for r in range(len(eps)):
-        def one(x, r=r):
-            return float(fn(np.array([x]), np.array([r]))[0])
-        assert got[r] == _sup_loop(one, lo[r], hi[r], cfg), r
+    for eps, lo, hi in [(0.01, 1e-4, 1.0), (0.05, 0.0, 0.5), (0.2, 0.1, 0.9),
+                        (0.4, 0.3, 0.3), (0.1, 0.5, 0.4)]:
+        g = exponent_objective(f, eps)
 
-
-def test_batched_cov_growth_rates_match_single_calls():
-    rp = RatePoint(0.5, 4.0)
-    cfg = OptimizerConfig(grid_points=256, refine_tol=1e-9)
-    pairs = [(0.1, 0.3), (0.6, 0.05), (0.5, 0.5), (0.3, 1.0), (1.0, 1.0),
-             (0.9, 0.95), (1e-5, 0.02)]
-    l1, l2 = (np.array(p) for p in zip(*pairs))
-    got = asy._cov_growth_rates(rp, l1, l2, cfg)
-    assert list(got) == [cov_growth_rate(rp, x1, x2, cfg) for x1, x2 in pairs]
+        def one(x):
+            return float(g.fn(np.array([x]))[0])
+        assert asy._sup_rows(g.fn, lo, hi, cfg) == \
+            _sup_loop(one, lo, hi, cfg), eps
 
 
 def test_l2_one_rows_take_no_bracket(monkeypatch):
@@ -275,10 +356,10 @@ def test_l2_one_rows_take_no_bracket(monkeypatch):
         brackets.append(len(out[2][0]))
         return out
     monkeypatch.setattr(asy, "_grid_tops", spy)
-    l1 = np.arange(1, 49) / 48.0
     cfg = OptimizerConfig(grid_points=256, refine_tol=1e-9)
-    asy._cov_growth_rates(RatePoint(0.5, 4.0), l1, np.ones(48), cfg)
-    assert brackets == [0]
+    for l1 in np.arange(1, 49) / 48.0:
+        cov_growth_rate(RatePoint(0.5, 4.0), float(l1), 1.0, cfg)
+    assert brackets == [0] * 48
 
 
 def test_functions_accept_arrays():

@@ -160,6 +160,12 @@ def test_domain_errors_exit_nonzero(capsys):
         # 2^70 codewords and 2^30 row-space words: fails at the first matrix
         ("sim", "--m", "30", "--n", "100", "--k", "5", "--eps", "0.05",
          "--samples", "2"): "--channel-trials",
+        # exact as a Fraction, but 0 as a float
+        ("oracle", "--m", "1", "--n", "2", "--k", "1e-400"): "underflows",
+        ("avg-pu", "--m", "1", "--n", "2", "--k", "1e-400", "--eps", "0.1"):
+            "underflows",
+        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k",
+         "1e-400", "--eps", "0.1"): "underflows",
     }
     for argv in cases + list(named):
         code, _, err = run_cli(capsys, *argv)
