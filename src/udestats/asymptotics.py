@@ -7,10 +7,11 @@ located by a global grid scan followed by a zoom refinement of every
 local candidate; half-open boundary limits are injected as explicit
 candidates.
 
-Every objective takes arrays: a grid scan evaluates at most _GRID_CHUNK
-points per call, and each refinement call samples evenly spaced points
+Every objective takes arrays: a grid scan evaluates equal chunks of at
+most _GRID_CHUNK + 1 points per call (a grid of _GRID_CHUNK steps in one
+call), and each refinement call samples _ZOOM_POINTS evenly spaced points
 of every live bracket (all local tops, and the exponent's geometric tail,
-together) and narrows each bracket around its best point.  The Var[P_U]
+together) and narrows each bracket 64x around its best point.  The Var[P_U]
 growth rate is one sup over the simplex of parity-row states; its best
 grid points are refined alike, on 3-D boxes.  Public functions return
 Python floats for float arguments.
@@ -31,18 +32,22 @@ import numpy as np
 _TINY = np.finfo(float).tiny
 _REFINE_MAX_ITER = 200
 # Interior points per bracket and call of _zoom_refine.  A constant, so an
-# interval's result does not depend on the others; 15 narrows a bracket 8x
-# per call.
-_ZOOM_POINTS = 15
+# interval's result does not depend on the others; 127 narrows a bracket
+# 64x per call.  A call on a few hundred points costs about what one on 15
+# does, so error_exponent takes 6 zoom calls, not 12.  255 points (128x,
+# 5 calls) measured no faster: each call then costs more.
+_ZOOM_POINTS = 127
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS + 2) / (_ZOOM_POINTS + 1)
 # Interior points per box axis and call of _box_zoom: 343 a box, 4x
 # narrower per call.
 _BOX_POINTS = 7
 _BOX_STEPS = np.arange(_BOX_POINTS + 2) / (_BOX_POINTS + 1)
-# Points per objective call in grid scans and refinements: the temporaries
-# stay in cache, and their memory is bounded whatever the number of
-# brackets.
+# A grid scan evaluates equal chunks of at most _GRID_CHUNK + 1 points
+# per objective call, so a grid of _GRID_CHUNK steps is one call; a zoom
+# call takes up to _ZOOM_BRACKETS brackets.  The temporaries stay in cache,
+# and their memory is bounded whatever the number of brackets.
 _GRID_CHUNK = 1 << 12
+_ZOOM_BRACKETS = (_GRID_CHUNK + 1) // _ZOOM_POINTS
 # A grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
 # point; 2^21 points take about 100 MB.
 _MAX_GRID_POINTS = 1 << 21
@@ -51,7 +56,9 @@ _MAX_GRID_POINTS = 1 << 21
 @dataclass(frozen=True, slots=True)
 class RatePoint:
     """Design-rate point: m = (1-R) n parity rows; k is the sparse-family
-    average row weight (None for the random family)."""
+    average row weight (None for the random family).  4k must be a finite
+    float: the growth rates take e^(-4kv) at v = 0, and an infinite 4k
+    makes it inf * 0."""
 
     R: float
     k: Optional[float] = None
@@ -59,8 +66,8 @@ class RatePoint:
     def __post_init__(self):
         if not 0.0 < self.R < 1.0:
             raise ValueError(f"need 0 < R < 1, got {self.R}")
-        if self.k is not None and self.k <= 0.0:
-            raise ValueError(f"need k > 0, got {self.k}")
+        if self.k is not None and not 0.0 < 4.0 * self.k < math.inf:
+            raise ValueError(f"need k > 0 with 4k finite, got k={self.k}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,38 +156,34 @@ def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
                       f.limit0 + l1e)
 
 
-def _in_chunks(fn, x):
-    """fn(x) evaluated at most _GRID_CHUNK points per call."""
-    if len(x) <= _GRID_CHUNK:
-        return fn(x)
-    return np.concatenate([fn(x[i:i + _GRID_CHUNK])
-                           for i in range(0, len(x), _GRID_CHUNK)])
-
-
 def _zoom_refine(fn, a, b, tol):
-    """Maximization on every interval [a_i, b_i] down to width tol_i, all
-    intervals together; returns the argmax array (bracket midpoints).
+    """Maximization on every interval [a_i, b_i] down to width tol_i;
+    returns the argmax array (bracket midpoints).
 
     Each call of fn samples _ZOOM_POINTS evenly spaced interior points of
-    every live bracket, and each bracket shrinks to the two neighbours of
-    its first best point, 8x narrower.  A bracket is done at width <=
-    tol_i, when its width stops shrinking (float resolution), or after
-    _REFINE_MAX_ITER calls.  No probe leaves its bracket, and an
-    interval's result does not depend on which others share the call.
+    every live bracket in a block of up to _ZOOM_BRACKETS, and each
+    bracket shrinks to the two neighbours of its first best point, 64x
+    narrower.  A bracket is done at width <= tol_i, when its width stops
+    shrinking (float resolution), or after _REFINE_MAX_ITER calls.  No
+    probe leaves its bracket, and an interval's result does not depend on
+    which others share the call.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
-    live = np.flatnonzero(b - a > tol)
-    for _ in range(_REFINE_MAX_ITER):
-        if not len(live):
-            break
-        lo, hi = a[live, None], b[live, None]
-        xs = np.clip(lo + _ZOOM_STEPS * (hi - lo), lo, hi)
-        ys = _in_chunks(fn, xs[:, 1:-1].ravel()).reshape(len(live), -1)
-        top, r = np.argmax(ys, axis=1), np.arange(len(live))
-        a[live], b[live] = xs[r, top], xs[r, top + 2]
-        width = b[live] - a[live]
-        live = live[(width < (hi - lo)[:, 0]) & (width > tol[live])]
+    todo = np.flatnonzero(b - a > tol)
+    for s in range(0, len(todo), _ZOOM_BRACKETS):
+        live = todo[s:s + _ZOOM_BRACKETS]
+        for _ in range(_REFINE_MAX_ITER):
+            if not len(live):
+                break
+            lo, hi = a[live, None], b[live, None]
+            # np.clip, without its Python wrapper's cost
+            xs = np.minimum(np.maximum(lo + _ZOOM_STEPS * (hi - lo), lo), hi)
+            ys = fn(xs[:, 1:-1].ravel()).reshape(len(live), -1)
+            top, r = np.argmax(ys, axis=1), np.arange(len(live))
+            a[live], b[live] = xs[r, top], xs[r, top + 2]
+            width = b[live] - a[live]
+            live = live[(width < (hi - lo)[:, 0]) & (width > tol[live])]
     return 0.5 * (a + b)
 
 
@@ -221,7 +224,8 @@ def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
         return hi, fn(np.array([hi]))[0], (np.empty(0), np.empty(0))
     pts = cfg.grid_points
     xs = lo + np.arange(pts + 1) * ((hi - lo) / pts)
-    ys = _in_chunks(fn, xs)
+    parts = -(-len(xs) // (_GRID_CHUNK + 1))
+    ys = np.concatenate([fn(c) for c in np.array_split(xs, parts)])
     top = int(np.argmax(ys))
     pad = [-np.inf]
     j = np.flatnonzero((ys >= np.concatenate([pad, ys[:-1]]))

@@ -267,8 +267,9 @@ def test_optimizer_config_validation():
             var_pu_growth_rate(RatePoint(0.5, 4.0), 0.1, tol)
     with pytest.raises(ValueError):
         RatePoint(1.0)
-    with pytest.raises(ValueError):
-        RatePoint(0.5, -1.0)
+    for k in (-1.0, math.nan, 1e308):  # 4 * 1e308 overflows
+        with pytest.raises(ValueError, match="k="):
+            RatePoint(0.5, k)
 
 
 def _zoom_loop(fn, a, b, tol):
@@ -360,6 +361,96 @@ def test_l2_one_rows_take_no_bracket(monkeypatch):
     for l1 in np.arange(1, 49) / 48.0:
         cov_growth_rate(RatePoint(0.5, 4.0), float(l1), 1.0, cfg)
     assert brackets == [0] * 48
+
+
+FIG3_CFG = OptimizerConfig(grid_points=4096)
+
+
+def _fig3_growth(family, R):
+    if family == "random":
+        return growth_rate_random(R)
+    return growth_rate_bernoulli(R, 20.0)
+
+
+def test_error_exponent_call_budget(monkeypatch):
+    # Over the fig-3 grid: one tail call, one grid call, six zoom calls
+    # (the tail bracket narrows 1.5e10x, 64x a call) and one at the
+    # refined points.
+    calls = []
+    objective = asy.exponent_objective
+
+    def counted(f, eps):
+        g = objective(f, eps)
+
+        def fn(l):
+            calls.append(len(l))
+            return g.fn(l)
+        return asy.GrowthRate(fn, g.limit0)
+    monkeypatch.setattr(asy, "exponent_objective", counted)
+    for family in ("random", "bernoulli"):
+        for R in (0.3, 0.5, 0.7, 0.9):
+            for i in range(1, 50):
+                calls.clear()
+                error_exponent(_fig3_growth(family, R), i / 100, FIG3_CFG)
+                assert len(calls) <= 9, (family, R, i, calls)
+
+
+def test_grid_tops_scans_a_chunk_plus_one_in_one_call():
+    sizes = []
+    g = exponent_objective(growth_rate_bernoulli(0.5, 20.0), 0.1)
+
+    def fn(l):
+        sizes.append(len(l))
+        return g.fn(l)
+    asy._grid_tops(fn, 1.0 / 4096, 1.0, FIG3_CFG)
+    assert sizes == [4097]
+    sizes.clear()
+    asy._grid_tops(fn, 0.0, 1.0, OptimizerConfig(grid_points=16384))
+    assert sorted(sizes) == [4096, 4096, 4096, 4097]
+
+
+@pytest.mark.parametrize("family, R, eps, value, argmax", [
+    ("random", 0.3, 0.01, -0.7, 0.00999999878536073),
+    ("random", 0.3, 0.49, -0.6999999999999997, 0.49000000216756234),
+    ("random", 0.9, 0.01, -0.09999999999999998, 0.010000000080164995),
+    ("random", 0.9, 0.49, -0.09999999999999981, 0.49000000216756234),
+    ("bernoulli", 0.3, 0.01, -0.014499557577501133, 8.399316747057916e-09),
+    ("bernoulli", 0.3, 0.49, -0.6999999968947186, 0.4899999759805098),
+    ("bernoulli", 0.9, 0.01, -0.012471788282229591, 0.001446323611759226),
+    ("bernoulli", 0.9, 0.49, -0.09999999955638839, 0.48999999751208634),
+])
+def test_error_exponent_pinned_at_fig3_corners(family, R, eps, value,
+                                               argmax):
+    # Pinned to a 15-point zoom's values; the zoom's width must not move
+    # them by more than float noise.
+    got, at = error_exponent(_fig3_growth(family, R), eps, FIG3_CFG)
+    assert abs(got - value) <= 1e-15
+    assert abs(at - argmax) <= 1e-8
+
+
+@pytest.mark.parametrize("l1, l2, value", [
+    (0.1, 0.3, 0.6936817307394286),
+    (0.25, 0.5, 0.9263279307764649),
+    (0.2, 0.8, 0.5801206233921561),
+    (0.05, 0.6, 0.6347910938566038),
+])
+def test_cov_growth_rate_pinned(l1, l2, value):
+    # The benchmark's covariance points, pinned to a 15-point zoom's values.
+    assert abs(cov_growth_rate(RatePoint(0.5, 4.0), l1, l2) - value) <= 1e-15
+
+
+def test_zoom_memory_is_bounded_whatever_the_brackets():
+    # Each call takes at most _ZOOM_BRACKETS brackets, however many there
+    # are; 1000 brackets here.
+    sizes = []
+
+    def fn(x):
+        sizes.append(len(x))
+        return -(x - 0.3) ** 2
+    a = np.linspace(0.0, 0.5, 1000)
+    x = asy._zoom_refine(fn, a, a + 0.5, 1e-6)
+    assert max(sizes) <= asy._ZOOM_BRACKETS * asy._ZOOM_POINTS <= 4097
+    assert np.allclose(x, np.clip(0.3, a, a + 0.5), atol=1e-6)
 
 
 def test_functions_accept_arrays():

@@ -166,6 +166,11 @@ def test_domain_errors_exit_nonzero(capsys):
             "underflows",
         ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k",
          "1e-400", "--eps", "0.1"): "underflows",
+        # finite, but 4k overflows
+        ("var-exponent", "--rate", "0.5", "--k", "1e308", "--eps", "0.1"):
+            "k=1e+308",
+        ("cov-exponent", "--rate", "0.5", "--k", "1e308", "--l1", "0.5",
+         "--l2", "0.5"): "k=1e+308",
     }
     for argv in cases + list(named):
         code, _, err = run_cli(capsys, *argv)
