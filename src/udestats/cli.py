@@ -18,7 +18,7 @@ from . import asymptotics as asy
 from . import ensemble as ens_mod
 from . import montecarlo as mc
 from . import oracle as oracle_mod
-from .ensemble import BernoulliEnsemble, Bsc, OverlapRangeError
+from .ensemble import BernoulliEnsemble, Bsc
 from .gf2 import (BitMatrix, EnumerationBudgetError, MatrixFormatError,
                   pu_polynomial, undetected_error_prob)
 from .logreal import LogReal
@@ -92,8 +92,8 @@ def _growth_rate(family: str, rate: float, k) -> asy.GrowthRate:
 
 def _cmd_awd(args) -> None:
     ens = _ensemble(args)
-    rows = [[w] + _log_lin(ens_mod.avg_weight(ens, w))
-            for w in range(ens.n + 1)]
+    rows = [[w] + _log_lin(LogReal(float(v)))
+            for w, v in enumerate(ens_mod._log2_avg_weights(ens))]
     _emit(args, ["w", "log2_avg_aw", "avg_aw"], rows)
 
 
@@ -120,7 +120,8 @@ def _cmd_cov(args) -> None:
 
 def _cmd_var_pu(args) -> None:
     ens = _ensemble(args)
-    rows = [[eps] + _log_lin(ens_mod.var_pu(ens, Bsc(eps)))
+    cov = ens_mod.cov_matrix(ens)
+    rows = [[eps] + _log_lin(ens_mod.var_pu_from_cov(ens, cov, eps))
             for eps in args.eps]
     _emit(args, ["eps", "log2_var_pu", "var_pu"], rows)
 
@@ -241,24 +242,19 @@ def _cmd_fig(args) -> None:
             l = i / 512
             rows.append([l, f_rnd(l), f_spm(l)])
     elif num in (5, 6):
-        rnd = BernoulliEnsemble.random(20, 40)
-        sparse = BernoulliEnsemble(20, 40, 5.0)
+        ensembles = (BernoulliEnsemble.random(20, 40),
+                     BernoulliEnsemble(20, 40, 5.0))
         name = "mean_pu" if num == 5 else "var_pu"
         header = ["eps", f"log2_{name}_random", f"{name}_random",
                   f"log2_{name}_sparse", f"{name}_sparse"]
-        if num == 5:
-            def stat(ens, cov, eps):
-                return ens_mod.avg_pu(ens, Bsc(eps))
-            cov_rnd = cov_sparse = None
-        else:
-            def stat(ens, cov, eps):
-                return ens_mod.var_pu_from_cov(ens, cov, eps)
-            cov_rnd = ens_mod.cov_matrix(rnd)
-            cov_sparse = ens_mod.cov_matrix(sparse)
+        covs = [ens_mod.cov_matrix(e) for e in ensembles] if num == 6 else []
         rows = []
         for eps in _FIG56_EPS:
-            rows.append([eps] + _log_lin(stat(rnd, cov_rnd, eps))
-                        + _log_lin(stat(sparse, cov_sparse, eps)))
+            row = [eps]
+            for i, ens in enumerate(ensembles):
+                row += _log_lin(ens_mod.var_pu_from_cov(ens, covs[i], eps)
+                                if covs else ens_mod.avg_pu(ens, Bsc(eps)))
+            rows.append(row)
     else:
         raise ValueError(f"unknown figure {num}")
     _emit(args, header, rows)
@@ -387,8 +383,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ValueError, EnumerationBudgetError, MatrixFormatError,
-            OverlapRangeError, oracle_mod.GuardExceededError,
+    except (ValueError, ArithmeticError, EnumerationBudgetError,
+            MatrixFormatError, oracle_mod.GuardExceededError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

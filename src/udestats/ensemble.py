@@ -5,9 +5,11 @@ probabilities.
 
 Everything is computed in base-2 log domain (see logreal); every term in
 the formulas handled here is nonnegative for p <= 1/2, so no signed log
-arithmetic is required.  The random ensemble (k = n/2, z = 0) takes exact
-branches and, where a closed form exists, the generic summation is
-cross-checked against it on every call.
+arithmetic is required.  Each closed form is one numpy expression over
+the weights, with z^w from `_zpowers` (exact zeros at z = 0, the random
+ensemble k = n/2).  For the random ensemble, `avg_pu` and
+`var_pu_from_cov` (which `var_pu` calls) also check the sum against its
+closed form on every call.
 
 The covariances come from one numpy kernel, `_cov_kernel`, over flat
 (w1, w2, v) triples with w1 <= w2, in blocks of whole pairs of at most
@@ -20,7 +22,7 @@ bounded LRU (512 rows).
 Precision: every log2 value is within a few ulps of its exact value, at
 every n, so the relative error in the linear domain is a few times
 1e-16 |log2 value|: about 1e-14 at n = 100 and 1e-12 at n = 2000, more
-only where the log2 itself reaches tens of thousands (m = 20000).
+only where the log2 itself reaches tens of thousands (m or n = 20000).
 """
 
 from __future__ import annotations
@@ -93,33 +95,30 @@ class BernoulliEnsemble:
         return cls(m, n, n / 2)
 
 
-def log2_binom(n: int, w: int) -> float:
-    """log2 C(n, w) from the exact integer, to about 1 ulp at every n."""
-    if not 0 <= w <= n:
-        return -math.inf
-    return math.log2(math.comb(n, w))
+def _log_z(ens: BernoulliEnsemble) -> float:
+    """ln z from log1p(-2p), which keeps 1 - z^e exact to an ulp at small
+    p; -inf for the random ensemble."""
+    return math.log1p(-2.0 * ens.p) if ens.z > 0.0 else -math.inf
 
 
-def _zpow(z: float, w: int) -> float:
-    """z^w with the z = 0 (random ensemble) branch handled exactly."""
-    if w == 0:
-        return 1.0
-    if z == 0.0:
-        return 0.0
-    return math.exp(w * math.log(z))
+def _zpowers(ens: BernoulliEnsemble, top: int) -> np.ndarray:
+    """z^e for e = 0..top; exact zeros for e >= 1 at z = 0."""
+    zpow = np.ones(top + 1)
+    zpow[1:] = np.exp(np.arange(1, top + 1) * _log_z(ens))
+    return zpow
 
 
-def _log2_half_1p(t: float) -> float:
-    """log2((1 + t) / 2) for t >= 0."""
-    return math.log1p(t) / _LN2 - 1.0
+def _log2_avg_weights(ens: BernoulliEnsemble) -> np.ndarray:
+    """log2 E[A_w] = m log2((1 + z^w)/2) + log2 C(n, w) for w = 0..n."""
+    return (ens.m * (np.log1p(_zpowers(ens, ens.n)) / _LN2 - 1.0)
+            + _log2_binom_row(ens.n))
 
 
 def avg_weight(ens: BernoulliEnsemble, w: int) -> LogReal:
     """E[A_w] = ((1 + z^w)/2)^m C(n, w)."""
     if not 0 <= w <= ens.n:
         raise ValueError(f"need 0 <= w <= n, got {w}")
-    return LogReal(ens.m * _log2_half_1p(_zpow(ens.z, w))
-                   + log2_binom(ens.n, w))
+    return LogReal(float(_log2_avg_weights(ens)[w]))
 
 
 def _log2_bsc_term(n: int, w, eps: float):
@@ -127,28 +126,33 @@ def _log2_bsc_term(n: int, w, eps: float):
     return (w * math.log(eps) + (n - w) * math.log1p(-eps)) / _LN2
 
 
-def avg_pu(ens: BernoulliEnsemble, ch: Bsc) -> LogReal:
-    """E[P_U] over the ensemble, by the weighted sum over weights.
+def _check_random(ens: BernoulliEnsemble, eps: float, total: LogReal,
+                  closed: LogReal) -> None:
+    """Require a random-ensemble sum to match its closed form within 16
+    ulps of m + 2n log2(1/eps), which bounds the |log2| of every factor
+    summed (the precision bound above), and at least 1e-12."""
+    top = ens.m - 2 * ens.n * math.log2(eps)
+    if not total.isclose(closed, rel_tol=max(1e-12, 2.0 ** -48 * top)):
+        raise ArithmeticError(
+            f"summation {total.log2} vs closed form {closed.log2}")
 
-    For the random ensemble the closed form 2^-m (1 - (1-eps)^n) is also
-    evaluated and the two routes are required to agree to 1e-12 relative.
-    """
-    n, eps = ens.n, ch.eps
-    total = LogReal(log2_sum(
-        avg_weight(ens, w).log2 + _log2_bsc_term(n, w, eps)
-        for w in range(1, n + 1)))
+
+def avg_pu(ens: BernoulliEnsemble, ch: Bsc) -> LogReal:
+    """E[P_U] over the ensemble, by the weighted sum over weights; for the
+    random ensemble, checked against 2^-m (1 - (1-eps)^n)."""
+    n = ens.n
+    terms = (_log2_avg_weights(ens)[1:]
+             + _log2_bsc_term(n, np.arange(1, n + 1), ch.eps))
+    total = LogReal(log2_sum(terms))
     if ens.is_random:
-        closed = _avg_pu_random_closed(ens.m, n, eps)
-        if not total.isclose(closed, rel_tol=1e-12):
-            raise ArithmeticError(
-                f"summation {total.log2} vs closed form {closed.log2}")
+        _check_random(ens, ch.eps, total,
+                      _avg_pu_random_closed(ens.m, n, ch.eps))
     return total
 
 
 def _avg_pu_random_closed(m: int, n: int, eps: float) -> LogReal:
-    # 2^-m (1 - (1-eps)^n)
-    log_1me_n = n * math.log1p(-eps)
-    return LogReal(-m + math.log1p(-math.exp(log_1me_n)) / _LN2)
+    # 2^-m (1 - (1-eps)^n), with 1 - (1-eps)^n = -expm1(n log1p(-eps))
+    return LogReal(-m + math.log(-math.expm1(n * math.log1p(-eps))) / _LN2)
 
 
 def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal:
@@ -159,8 +163,9 @@ def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal
     if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
         raise OverlapRangeError(
             f"overlap v={v} invalid for w1={w1}, w2={w2}, n={n}")
-    z = ens.z
-    s = _zpow(z, w1) + _zpow(z, w2) + _zpow(z, w1 + w2 - 2 * v)
+    log_z = _log_z(ens)
+    s = sum(math.exp(e * log_z) if e else 1.0
+            for e in (w1, w2, w1 + w2 - 2 * v))
     # (1 + s)/4 <= 1; log1p keeps precision when s is tiny.
     return LogReal(ens.m * (math.log1p(s) / _LN2 - 2.0))
 
@@ -172,20 +177,12 @@ def second_moment_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
         raise ValueError("weights out of range")
     if w1 > w2:
         w1, w2 = w2, w1
+    row_v, row_rest = _log2_binom_row(w1), _log2_binom_row(n - w1)
     terms = []
     for v in range(max(0, w1 + w2 - n), w1 + 1):
-        count = (log2_binom(n, w1) + log2_binom(w1, v)
-                 + log2_binom(n - w1, w2 - v))
+        count = _log2_binom_row(n)[w1] + row_v[v] + row_rest[w2 - v]
         terms.append(count + joint_pass_prob(ens, w1, w2, v).log2)
     return LogReal(log2_sum(terms))
-
-
-def _cov_weight_random(m: int, n: int, w1: int, w2: int) -> LogReal:
-    if w1 != w2:
-        return LogReal.ZERO
-    # 2^-2m C(n, w) (2^m - 1)
-    return LogReal(-2 * m + log2_binom(n, w1)
-                   + m + math.log1p(-(2.0 ** -m)) / _LN2)
 
 
 # Rows are cached one by one, like gf2's Krawtchouk columns: a matrix at
@@ -227,11 +224,9 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     """
     n, m = ens.n, ens.m
     # z = 0 gives z^w = 0 and 1 - z^(2v) = 1, reproducing the random branch.
-    log_z = math.log1p(-2.0 * ens.p) if ens.z > 0.0 else -math.inf
-    zpow = np.ones(2 * n + 1)           # z^e for e = w1 + w2 - 2v <= 2n
-    zpow[1:] = np.exp(np.arange(1, 2 * n + 1) * log_z)
+    zpow = _zpowers(ens, 2 * n)         # z^e for e = w1 + w2 - 2v <= 2n
     one_minus = np.zeros(n + 1)         # 1 - z^(2v) for v = 0..n
-    one_minus[1:] = -np.expm1(2 * np.arange(1, n + 1) * log_z)
+    one_minus[1:] = -np.expm1(2 * np.arange(1, n + 1) * _log_z(ens))
     half = np.log1p(zpow[:n + 1]) / _LN2 - 1.0
     # log2 C(a, j) = table[offset[a] + j] for the rows a the pairs use.
     used = np.zeros(n + 1, dtype=bool)
@@ -280,19 +275,26 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     return out
 
 
+def _log2_cov_random_diag(ens: BernoulliEnsemble) -> np.ndarray:
+    """log2 Cov(A_w, A_w) = log2 E[A_w] (1 - 2^-m) of the random ensemble
+    for w >= 1; its other covariances are 0."""
+    return _log2_avg_weights(ens) + math.log1p(-(2.0 ** -ens.m)) / _LN2
+
+
 def cov_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
     """Cov(A_w1, A_w2); always >= 0 for p <= 1/2.
 
     The generic path is `_cov_kernel` on the one pair, so the value is
     bit for bit the entry of `cov_matrix`.
     """
-    n, m = ens.n, ens.m
+    n = ens.n
     if not (1 <= w1 <= n and 1 <= w2 <= n):
         raise ValueError("weights out of range")
     if w1 > w2:
         w1, w2 = w2, w1
     if ens.is_random:
-        return _cov_weight_random(m, n, w1, w2)
+        return (LogReal(float(_log2_cov_random_diag(ens)[w1])) if w1 == w2
+                else LogReal.ZERO)
     with np.errstate(divide="ignore", under="ignore"):
         value = _cov_kernel(ens, np.array([w1]), np.array([w2]))
     return LogReal(float(value[0]))
@@ -308,8 +310,8 @@ def cov_matrix(ens: BernoulliEnsemble) -> np.ndarray:
             f"holds (n+1)^2 values from about n^3/6 overlap terms")
     mat = np.full((n + 1, n + 1), -np.inf)
     if ens.is_random:
-        for w in range(1, n + 1):
-            mat[w, w] = _cov_weight_random(ens.m, n, w, w).log2
+        w = np.arange(1, n + 1)
+        mat[w, w] = _log2_cov_random_diag(ens)[1:]
         return mat
     w1, w2 = np.triu_indices(n)
     w1 += 1
@@ -320,43 +322,37 @@ def cov_matrix(ens: BernoulliEnsemble) -> np.ndarray:
 
 
 def var_pu(ens: BernoulliEnsemble, ch: Bsc) -> LogReal:
-    """Var[P_U] = sum over (w1, w2) of Cov(A_w1, A_w2) weighted by the
-    BSC probabilities of the two weights.
-
-    For the random ensemble the closed form
-    (1 - 2^-m) 2^-m ((eps^2 + (1-eps)^2)^n - (1-eps)^(2n)) is also
-    evaluated and required to agree to 1e-12 relative.
-    """
-    total = var_pu_from_cov(ens, cov_matrix(ens), ch.eps)
-    if ens.is_random:
-        closed = _var_pu_random_closed(ens.m, ens.n, ch.eps)
-        if not total.isclose(closed, rel_tol=1e-12):
-            raise ArithmeticError(
-                f"double sum {total.log2} vs closed form {closed.log2}")
-    return total
+    """Var[P_U]; see `var_pu_from_cov`."""
+    return var_pu_from_cov(ens, cov_matrix(ens), ch.eps)
 
 
 def var_pu_from_cov(ens: BernoulliEnsemble, cov: np.ndarray,
                     eps: float) -> LogReal:
-    """The Var[P_U] double sum given the log2 covariance matrix of
-    `cov_matrix`; summing the whole symmetric matrix counts each
-    off-diagonal pair twice."""
-    n = ens.n
+    """Var[P_U] as the sum over (w1, w2) of Cov(A_w1, A_w2), from the log2
+    matrix of `cov_matrix`, weighted by the BSC probabilities of the two
+    weights; summing the whole symmetric matrix counts each off-diagonal
+    pair twice.  For the random ensemble the sum is checked against
+    (1 - 2^-m) 2^-m ((eps^2 + (1-eps)^2)^n - (1-eps)^(2n)).
+    """
+    n, eps = ens.n, Bsc(eps).eps
     w = np.arange(1, n + 1)
     terms = _log2_bsc_term(2 * n, np.arange(2 * n + 1), eps)[
         np.add.outer(w, w)]
     terms += cov[1:, 1:]
     with np.errstate(divide="ignore", under="ignore"):
-        total = _log2_sum_segments(terms.ravel(), np.array([0]),
-                                   np.array([n * n]))
-    return LogReal(float(total[0]))
+        total = LogReal(float(_log2_sum_segments(
+            terms.ravel(), np.array([0]), np.array([n * n]))[0]))
+    if ens.is_random:
+        _check_random(ens, eps, total, _var_pu_random_closed(ens.m, n, eps))
+    return total
 
 
 def _var_pu_random_closed(m: int, n: int, eps: float) -> LogReal:
-    la = n * math.log2(eps * eps + (1.0 - eps) * (1.0 - eps))
-    lb = 2 * n * math.log1p(-eps) / _LN2
-    # la >= lb always (sum of squares vs one square term)
-    diff = la + math.log1p(-(2.0 ** (lb - la))) / _LN2
+    # (eps^2 + (1-eps)^2)^n - (1-eps)^(2n)
+    #   = (1-eps)^(2n) expm1(n log1p((eps / (1-eps))^2)), which cancels nothing
+    r = eps / (1.0 - eps)
+    diff = (2 * n * math.log1p(-eps) / _LN2
+            + log2_expm1_exp(n * math.log1p(r * r)))
     return LogReal(math.log1p(-(2.0 ** -m)) / _LN2 - m + diff)
 
 

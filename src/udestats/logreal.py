@@ -33,17 +33,16 @@ def log2_expm1_exp(t):
 
 
 def log2_sum(log2_terms) -> float:
-    """log2 of a sum of nonnegative terms given by their log2 values.
-
-    Factors out the max term; -inf entries (exact zeros) are skipped.
+    """log2 of a sum of nonnegative terms given by their log2 values, as an
+    array or any iterable; -inf entries are exact zeros.  The max term is
+    factored out and the rest added with fsum.
     """
-    terms = [t for t in log2_terms if t != -math.inf]
-    if not terms:
-        return -math.inf
-    top = max(terms)
-    if top == math.inf:
-        return math.inf
-    return top + math.log2(math.fsum(2.0 ** (t - top) for t in terms))
+    terms = np.asarray(log2_terms if isinstance(log2_terms, np.ndarray)
+                       else list(log2_terms), dtype=float)
+    top = float(terms.max(initial=-math.inf))
+    if top in (-math.inf, math.inf):
+        return top
+    return top + math.log2(math.fsum(np.exp2(terms - top).tolist()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -296,7 +296,7 @@ def verify_closed_forms(m: int, n: int, k,
         add(f"avg_pu[eps={eps}]", moments.e_pu(eps),
             ens_mod.avg_pu(analytic, ch).to_float())
         add(f"var_pu[eps={eps}]", moments.var_pu(eps),
-            ens_mod.var_pu(analytic, ch).to_float())
+            ens_mod.var_pu_from_cov(analytic, cov, ch.eps).to_float())
 
     if (m, n, k) == (1, 2, Fraction(1, 2)):
         add("e_pu_eps1_coeff", moments.e_pu[1], float(moments.e_pu[1]),

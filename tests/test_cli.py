@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from udestats.cli import main
+from udestats.logreal import LogReal
 
 
 def run_cli(capsys, *argv):
@@ -340,3 +341,65 @@ def test_cov_matrix_output_matches_single_pairs(capsys):
         _, single = parse_csv(run_cli(capsys, *base, "--w1", row[0],
                                       "--w2", row[1])[1])
         assert single == [row]
+
+
+def test_failed_cross_check_is_one_error_line(capsys, monkeypatch):
+    import udestats.ensemble as ens_mod
+    monkeypatch.setattr(ens_mod, "_avg_pu_random_closed",
+                        lambda m, n, eps: LogReal(0.0))
+    monkeypatch.setattr(ens_mod, "_var_pu_random_closed",
+                        lambda m, n, eps: LogReal(0.0))
+    for argv in [("avg-pu", "--m", "3", "--n", "6", "--k", "3", "--eps",
+                  "0.1"),
+                 ("var-pu", "--m", "3", "--n", "6", "--k", "3", "--eps",
+                  "0.1"),
+                 ("fig", "6")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: summation")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_cov_matrix_is_built_once_per_ensemble(capsys, monkeypatch):
+    import udestats.ensemble as ens_mod
+    from udestats.oracle import verify_closed_forms
+    built = []
+    real = ens_mod.cov_matrix
+
+    def counting(ens):
+        built.append(ens)
+        return real(ens)
+    monkeypatch.setattr(ens_mod, "cov_matrix", counting)
+    code, _, _ = run_cli(capsys, "var-pu", "--m", "4", "--n", "10", "--k",
+                         "2", "--eps", "0.01", "0.1", "0.3")
+    assert code == 0 and len(built) == 1
+    built.clear()
+    assert verify_closed_forms(2, 4, 1)["status"] == "PASS"
+    assert len(built) == 1
+    built.clear()
+    assert run_cli(capsys, "fig", "6")[0] == 0
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("argv, log2_value, tol", [
+    (("var-pu", "--m", "20", "--n", "40", "--k", "20", "--eps", "0.001"),
+     None, None),
+    (("avg-pu", "--m", "20", "--n", "40", "--k", "20", "--eps", "1e-8"),
+     None, None),
+    # Var[P_U] of R(1, 1) is eps^2 / 4
+    (("var-pu", "--m", "1", "--n", "1", "--k", "1/2", "--eps", "1e-12"),
+     math.log2(1e-12 ** 2 / 4), 1e-13),
+    # E[P_U] of R(1, n) is (1 - (1-eps)^n) / 2, 1/2 to double precision;
+    # log2 C(n, w) near 2^14 carries an ulp of 3.6e-12
+    (("avg-pu", "--m", "1", "--n", "20000", "--k", "10000", "--eps",
+      "0.49"), -1.0, 2.0 ** -50 * 20001),
+])
+def test_random_closed_forms_at_small_eps_and_large_n(capsys, argv,
+                                                      log2_value, tol):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    value = float(rows[0][1])
+    assert math.isfinite(value)
+    if log2_value is not None:
+        assert abs(value - log2_value) <= tol

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import udestats.oracle as oracle
 from udestats.ensemble import (BernoulliEnsemble, Bsc, OverlapRangeError,
-                               _log2_binom_row, avg_pu, avg_weight,
+                               _avg_pu_random_closed, _log2_binom_row,
+                               _var_pu_random_closed, avg_pu, avg_weight,
                                cov_matrix, cov_weight, finite_n_exponent,
-                               joint_pass_prob, log2_binom,
-                               second_moment_weight, var_pu, var_pu_from_cov)
+                               joint_pass_prob, second_moment_weight, var_pu,
+                               var_pu_from_cov)
 from udestats.logreal import log2_sum
 
 
@@ -142,11 +143,13 @@ def test_joint_pass_overlap_domain():
 
 
 def test_var_pu_from_cov_partition_independence():
-    ens = BernoulliEnsemble(4, 10, 2.0)
-    cov = cov_matrix(ens)
-    direct = var_pu(ens, Bsc(0.2))
-    via = var_pu_from_cov(ens, cov, 0.2)
-    assert via.isclose(direct, rel_tol=1e-13)
+    for ens in (BernoulliEnsemble(4, 10, 2.0),
+                BernoulliEnsemble.random(4, 10)):
+        cov = cov_matrix(ens)
+        for eps in (0.001, 0.2, 0.49):
+            assert var_pu_from_cov(ens, cov, eps) == var_pu(ens, Bsc(eps))
+        with pytest.raises(ValueError, match="eps"):
+            var_pu_from_cov(ens, cov, 0.7)
 
 
 def test_var_linear_statistic_specializes_to_var_pu():
@@ -169,7 +172,7 @@ def test_log2_binom_precise_at_large_n(n):
     mpmath.mp.dps = 50
     for w in (1, 7, n // 3, n // 2, n - 2):
         ref = mpmath.log(mpmath.binomial(n, w), 2)
-        got = log2_binom(n, w)
+        got = _log2_binom_row(n)[w]
         assert abs(got - ref) <= 1e-14 * abs(ref), (n, w)
 
 
@@ -194,6 +197,58 @@ def test_cross_checks_survive_optimize_flag():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("raised: summation"), res.stdout
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 6), (20, 40), (10, 200),
+                                  (100, 1000), (1, 4096)])
+def test_random_closed_forms_match_mpmath(m, n):
+    # Both forms cancel nothing: 1 - (1-eps)^n is -expm1(n log1p(-eps)),
+    # and the variance difference is (1-eps)^(2n) expm1(n log1p(r^2)).
+    # Beyond 1e-14, the bound is the ulps of a log2 value in the hundreds.
+    mpmath.mp.dps = 50
+    for eps in (1e-12, 1e-8, 1e-4, 0.001, 0.0026, 0.005, 0.1, 0.3, 0.49):
+        e = mpmath.mpf(eps)
+        mean = 2 ** -m * (1 - (1 - e) ** n)
+        var = ((1 - mpmath.mpf(2) ** -m) * 2 ** -m
+               * ((e ** 2 + (1 - e) ** 2) ** n - (1 - e) ** (2 * n)))
+        for got, want in ((_avg_pu_random_closed(m, n, eps), mean),
+                          (_var_pu_random_closed(m, n, eps), var)):
+            log2_want = float(mpmath.log(want, 2))
+            err = abs(got.log2 - log2_want) * math.log(2)
+            assert err <= max(1e-14, 4e-16 * abs(log2_want)), (eps, err)
+
+
+@pytest.mark.parametrize("n", [20000, 100000])
+def test_random_mean_check_holds_at_large_n(n):
+    # The log2 terms near n carry the ulp the module docstring allows,
+    # which is above 1e-12 relative at these n; the check must allow it.
+    mpmath.mp.dps = 50
+    for m, eps in ((1, 0.49), (n // 2, 0.1), (3, 1e-6)):
+        got = avg_pu(BernoulliEnsemble.random(m, n), Bsc(eps)).log2
+        e = mpmath.mpf(eps)
+        want = float(mpmath.log((1 - (1 - e) ** n) / 2 ** m, 2))
+        assert abs(got - want) <= 2.0 ** -48 * (m + n * math.log2(1 / eps))
+
+
+@pytest.mark.parametrize("k", [4.0, 10000.0])
+def test_avg_pu_and_avg_weight_match_mpmath_at_n20000(k):
+    m, n, eps = 10000, 20000, 0.01
+    ens = BernoulliEnsemble(m, n, k)
+    mpmath.mp.dps = 30
+    z = 1 - 2 * mpmath.mpf(k) / n
+    e = mpmath.mpf(eps)
+    log2_aw = [m * mpmath.log((1 + z ** w) / 2, 2)
+               + mpmath.log(mpmath.binomial(n, w), 2) for w in range(n + 1)]
+    # 4 ulps of m + n: the module's bound, where m log2((1 + z^w)/2) and
+    # log2 C(n, w) reach thousands
+    bound = 2.0 ** -50 * (m + n)
+    for w in range(0, n + 1, 97):
+        assert abs(avg_weight(ens, w).log2 - float(log2_aw[w])) <= bound, w
+    want = mpmath.log(mpmath.fsum(
+        2 ** (log2_aw[w] + w * mpmath.log(e, 2)
+              + (n - w) * mpmath.log(1 - e, 2))
+        for w in range(1, n + 1)), 2)
+    assert abs(avg_pu(ens, Bsc(eps)).log2 - float(want)) <= bound
 
 
 def test_random_closed_forms_small():
@@ -234,8 +289,8 @@ def _cov_weight_loop(ens, w1, w2):
         y = zpow(w1 + w2 - 2 * v) * (1 - zpow(2 * v)) / denom
         if y > 0.0:
             t = m * math.log1p(y)
-            terms.append(log2_binom(n, w1) + log2_binom(w1, v)
-                         + log2_binom(n - w1, w2 - v)
+            terms.append(math.log2(math.comb(n, w1) * math.comb(w1, v)
+                                   * math.comb(n - w1, w2 - v))
                          + (t + math.log(-math.expm1(-t))) / math.log(2))
     return pref + log2_sum(terms)
 
@@ -325,5 +380,6 @@ def test_cov_matrix_memory_is_bounded():
 def test_log2_binom_rows_are_exact_and_read_only():
     for a in (0, 1, 2, 7, 60, 301):
         row = _log2_binom_row(a)
-        assert list(row) == [log2_binom(a, j) for j in range(a + 1)]
+        assert list(row) == [math.log2(math.comb(a, j))
+                             for j in range(a + 1)]
         assert not row.flags.writeable
