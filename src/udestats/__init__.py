@@ -5,8 +5,8 @@ from .asymptotics import (GrowthRate, OptimizerConfig, RatePoint,
                           binary_entropy, cov_growth_rate, error_exponent,
                           exponent_objective, growth_rate_bernoulli,
                           growth_rate_random, var_pu_growth_rate)
-from .ensemble import (BernoulliEnsemble, Bsc, OverlapRangeError, avg_pu,
-                       avg_weight, cov_matrix, cov_weight, finite_n_exponent,
+from .ensemble import (BernoulliEnsemble, Bsc, avg_pu, avg_weight,
+                       cov_matrix, cov_weight, finite_n_exponent,
                        joint_pass_prob, second_moment_weight, var_pu)
 from .gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
                   MatrixFormatError, WeightDistribution, nullspace_basis,
@@ -25,7 +25,7 @@ __all__ = [
     "BernoulliEnsemble", "Bsc", "BitMatrix", "BitVector",
     "EnsembleMoments", "EnumerationBudgetError", "GrowthRate",
     "GuardExceededError", "LogReal", "MatrixFormatError",
-    "OptimizerConfig", "OverlapRangeError", "RatePoint", "RationalPoly",
+    "OptimizerConfig", "RatePoint", "RationalPoly",
     "SampleStats", "SimConfig", "WeightDistribution",
     "avg_pu", "avg_weight", "binary_entropy", "cov_growth_rate",
     "cov_matrix", "cov_weight", "enumerate_ensemble", "error_exponent",

@@ -2,19 +2,21 @@
 
 The error exponent of the average undetected error probability is the
 supremum over the normalized weight of (growth rate + BSC tilt).  For the
-sparse Bernoulli family the objective is not concave, so suprema are
-located by a global grid scan followed by a zoom refinement of every
-local candidate; half-open boundary limits are injected as explicit
-candidates.
+sparse Bernoulli family the objective is not concave, so every 1-D sup
+(the error exponent and the covariance growth rate) goes through
+`_sup_rows`: a global grid scan, then a zoom refinement of every local
+top together with any extra bracket (the exponent's geometric tail);
+the exponent's l -> 0+ limit is compared last.
 
 Every objective takes arrays: a grid scan evaluates equal chunks of at
 most _GRID_CHUNK + 1 points per call (a grid of _GRID_CHUNK steps in one
 call), and each refinement call samples _ZOOM_POINTS evenly spaced points
-of every live bracket (all local tops, and the exponent's geometric tail,
-together) and narrows each bracket 64x around its best point.  The Var[P_U]
-growth rate is one sup over the simplex of parity-row states; its best
-grid points are refined alike, on 3-D boxes.  Public functions return
-Python floats for float arguments.
+of every live bracket and narrows each bracket 64x around its best point.
+The Var[P_U] growth rate is one sup over the simplex of parity-row
+states; its best grid points are refined alike, on 3-D boxes.  Ranges
+are checked by the types that own them: eps by `Bsc`, R and k by
+`RatePoint`, the grid and tolerance by `OptimizerConfig`.  Public
+functions return Python floats for float arguments.
 
 The covariance growth rate's entropy term h(l1) + l1 h(v / l1) +
 (1 - l1) h((l2 - v) / (1 - l1)) carries each scale prefactor; it is
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .ensemble import Bsc
 
 _TINY = np.finfo(float).tiny
 _REFINE_MAX_ITER = 200
@@ -127,17 +131,13 @@ def scaled_entropy(scale, x):
 
 def growth_rate_random(R: float) -> GrowthRate:
     """f(l) = h(l) - (1 - R) for the random family."""
-    if not 0.0 < R < 1.0:
-        raise ValueError(f"need 0 < R < 1, got {R}")
+    RatePoint(R)
     return GrowthRate(lambda l: binary_entropy(l) - (1.0 - R), -(1.0 - R))
 
 
 def growth_rate_bernoulli(R: float, k: float) -> GrowthRate:
     """f(l) = h(l) + (1 - R) log2((1 + e^(-2kl)) / 2) for constant k."""
-    if not 0.0 < R < 1.0:
-        raise ValueError(f"need 0 < R < 1, got {R}")
-    if k <= 0.0:
-        raise ValueError(f"need k > 0, got {k}")
+    RatePoint(R, k)
 
     def f(l):
         return binary_entropy(l) + (1.0 - R) * (
@@ -148,8 +148,7 @@ def growth_rate_bernoulli(R: float, k: float) -> GrowthRate:
 
 def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
     """f(l) + l log2 eps + (1 - l) log2(1 - eps)."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"need 0 < eps < 1/2, got {eps}")
+    Bsc(eps)
     le = math.log2(eps)
     l1e = math.log2(1.0 - eps)
     return GrowthRate(lambda l: f.fn(l) + l * le + (1.0 - l) * l1e,
@@ -234,13 +233,18 @@ def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
                               xs[np.minimum(j + 1, pts)])
 
 
-def _sup_rows(fn, lo, hi, cfg: OptimizerConfig) -> float:
-    """Global sup of the objective fn on [lo, hi]: a grid scan, then
-    refinement of every local top."""
-    _, best, (a, b) = _grid_tops(fn, lo, hi, cfg)
-    if len(a):
-        best = max(best, np.max(fn(_zoom_refine(fn, a, b, cfg.refine_tol))))
-    return float(best)
+def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0))):
+    """Global sup of the objective fn on [lo, hi] and its argmax: a grid
+    scan, then one refinement of every local top together with the extra
+    brackets (a, b, tol).  Candidates in order: the grid maximum, the
+    refined tops, the refined extra brackets; the first of the largest
+    value wins."""
+    x0, y0, (a, b) = _grid_tops(fn, lo, hi, cfg)
+    x = _zoom_refine(fn, *np.append(
+        [a, b, np.full(len(a), cfg.refine_tol)], extra, axis=1))
+    cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
+    top = int(np.argmax(cy))
+    return float(cy[top]), float(cx[top])
 
 
 def error_exponent(f: GrowthRate, eps: float,
@@ -253,26 +257,16 @@ def error_exponent(f: GrowthRate, eps: float,
     """
     g = exponent_objective(f, eps)
     lo = 1.0 / cfg.grid_points
-    # Geometric tail below the uniform grid: the objective can have an
-    # interior maximizer at vanishing l (infinite slope of h at 0).
-    tail = [lo]
-    while tail[-1] > 1e-13:
-        tail.append(tail[-1] / 2.0)
-    tail = np.array(tail[1:])
+    # Geometric tail below the uniform grid, down to the first point
+    # <= 1e-13: the objective can have an interior maximizer at vanishing
+    # l (infinite slope of h at 0).  Its best point is refined with the
+    # grid's local tops.
+    tail = lo * 0.5 ** np.arange(1, 64)
+    tail = tail[:np.argmax(tail <= 1e-13) + 1]
     tx = float(tail[np.argmax(g.fn(tail))])
-    best_x, best_y, (a, b) = _grid_tops(g.fn, lo, 1.0, cfg)
-    # The grid's local tops and the tail's bracket are refined together.
-    tol = np.full(len(a) + 1, cfg.refine_tol)
-    tol[-1] *= tx
-    x = _zoom_refine(g.fn, np.append(a, tx / 2.0),
-                     np.append(b, min(tx * 2.0, 1.0)), tol)
-    y = g.fn(x)
-    # Candidates in order: the grid, its refined tops, the l -> 0+ limit,
-    # the tail; the first of the largest value wins.
-    cx = np.concatenate([[best_x], x[:-1], [0.0, x[-1]]])
-    cy = np.concatenate([[best_y], y[:-1], [g.limit0, y[-1]]])
-    top = int(np.argmax(cy))
-    return float(cy[top]), float(cx[top])
+    value, x = _sup_rows(g.fn, lo, 1.0, cfg, [
+        [tx / 2.0], [min(tx * 2.0, 1.0)], [cfg.refine_tol * tx]])
+    return (value, x) if value >= g.limit0 else (g.limit0, 0.0)
 
 
 def _inner_sup_closed(R: float, a, b):
@@ -291,12 +285,8 @@ def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
         raise ValueError("need a > 0 and b > 0")
     c = 1.0 - R
     la, lb = math.log2(a), math.log2(b)
-
-    def obj(mu):
-        return scaled_entropy(c, mu) + mu * la + (c - mu) * lb
-    best = float(np.max(obj(c * np.arange(points + 1) / points)))
-    x = _zoom_refine(obj, [0.0], [c], 1e-10)
-    return max(best, float(obj(x)[0]))
+    return _sup_rows(lambda mu: scaled_entropy(c, mu) + mu * la
+                     + (c - mu) * lb, 0.0, c, OptimizerConfig(points))[0]
 
 
 def _a_term(k: float, l1, l2, v):
@@ -335,7 +325,7 @@ def cov_growth_rate(rp: RatePoint, l1: float, l2: float,
 
     # lo = l1 - (1 - l2) is exactly l1 when l2 = 1 (l1 + l2 - 1 rounds
     # below it), so such a pair is its single point.
-    return _sup_rows(q, max(0.0, l1 - (1.0 - l2)), l1, cfg)
+    return _sup_rows(q, max(0.0, l1 - (1.0 - l2)), l1, cfg)[0]
 
 
 # Steps per axis of var_pu_growth_rate's row-state grid, and its best
@@ -345,7 +335,8 @@ _SIMPLEX_TOPS = 20
 
 
 def var_pu_growth_rate(rp: RatePoint, eps: float,
-                       refine_tol: float = 1e-10) -> float:
+                       refine_tol: float = OptimizerConfig().refine_tol
+                       ) -> float:
     """Growth rate of Var[P_U] for the sparse family, as a sup over the
     states of the parity rows.
 
@@ -366,10 +357,8 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
     """
     if rp.k is None:
         raise ValueError("var_pu_growth_rate needs the sparse parameter k")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"need 0 < eps < 1/2, got {eps}")
-    if not refine_tol > 0.0:
-        raise ValueError("refine_tol must be positive")
+    Bsc(eps)
+    OptimizerConfig(refine_tol=refine_tol)
     R, c = rp.R, 2.0 * rp.k * (1.0 - rp.R)
     q0, q1, q2 = (1.0 - eps) ** 2, eps * (1.0 - eps), eps ** 2
 

@@ -14,12 +14,14 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import asymptotics as asy
 from . import ensemble as ens_mod
 from . import montecarlo as mc
 from . import oracle as oracle_mod
 from .ensemble import BernoulliEnsemble, Bsc
-from .gf2 import (BitMatrix, EnumerationBudgetError, MatrixFormatError,
+from .gf2 import (DEFAULT_ENUM_BUDGET_LOG2, BitMatrix, EnumerationBudgetError,
                   pu_polynomial, undetected_error_prob)
 from .logreal import LogReal
 
@@ -71,8 +73,10 @@ def _ensemble(args) -> BernoulliEnsemble:
 
 
 def _log_lin(value) -> list:
-    """A LogReal as (log2, linear) column pair."""
-    return [value.log2, value.to_float()]
+    """A LogReal as (log2, linear) column pair; the linear column reads inf
+    where a finite log2 is >= 1024, past the largest float."""
+    big = math.isfinite(value.log2) and value.log2 >= 1024.0
+    return [value.log2, "inf" if big else value.to_float()]
 
 
 def _opt_config(args) -> asy.OptimizerConfig:
@@ -86,6 +90,17 @@ def _growth_rate(family: str, rate: float, k) -> asy.GrowthRate:
     if k is None:
         raise ValueError("--k is required for the bernoulli family")
     return asy.growth_rate_bernoulli(rate, float(k))
+
+
+def _curves(fs, points: int) -> list[list]:
+    """Rows (l, f(l) for each curve f): the limits at l = 0, then each
+    curve in one call on l = i/points for i = 1..points."""
+    if not 1 <= points <= asy._MAX_GRID_POINTS:
+        raise ValueError(f"--points must be in [1, {asy._MAX_GRID_POINTS}], "
+                         f"got {points}")
+    l = np.arange(1, points + 1) / points
+    return [[0.0] + [f.limit0 for f in fs]] + np.column_stack(
+        [l] + [f.fn(l) for f in fs]).tolist()
 
 
 # --- subcommand implementations ---
@@ -129,20 +144,13 @@ def _cmd_var_pu(args) -> None:
 def _cmd_exponent(args) -> None:
     f = _growth_rate(args.family, args.rate, args.k and _parse_k(args.k))
     cfg = _opt_config(args)
-    rows = []
-    for eps in args.eps:
-        value, argmax = asy.error_exponent(f, eps, cfg)
-        rows.append([eps, value, argmax])
+    rows = [[eps, *asy.error_exponent(f, eps, cfg)] for eps in args.eps]
     _emit(args, ["eps", "exponent", "argmax_l"], rows)
 
 
 def _cmd_growth(args) -> None:
     f = _growth_rate(args.family, args.rate, args.k and _parse_k(args.k))
-    rows = [[0.0, f.limit0]]
-    for i in range(1, args.points + 1):
-        l = i / args.points
-        rows.append([l, f(l)])
-    _emit(args, ["l", "growth_rate"], rows)
+    _emit(args, ["l", "growth_rate"], _curves([f], args.points))
 
 
 def _cmd_cov_exponent(args) -> None:
@@ -214,33 +222,19 @@ def _cmd_fig(args) -> None:
         f = (asy.growth_rate_random(0.5) if num == 1
              else asy.growth_rate_bernoulli(0.5, 20.0))
         epss = [0.1, 0.2, 0.4]
-        objs = [asy.exponent_objective(f, e) for e in epss]
         header = ["l"] + [f"g_eps{e}" for e in epss]
-        rows = [[0.0] + [g.limit0 for g in objs]]
-        for i in range(1, 513):
-            l = i / 512
-            rows.append([l] + [g(l) for g in objs])
+        rows = _curves([asy.exponent_objective(f, e) for e in epss], 512)
     elif num == 3:
         rates = [0.3, 0.5, 0.7, 0.9]
         header = ["eps"] + [f"T_R{r}" for r in rates]
-        rows = []
-        for i in range(1, 50):
-            eps = i / 100.0
-            row = [eps]
-            for r in rates:
-                val, _ = asy.error_exponent(
-                    asy.growth_rate_bernoulli(r, 20.0), eps,
-                    asy.OptimizerConfig(grid_points=4096))
-                row.append(val)
-            rows.append(row)
+        fs = [asy.growth_rate_bernoulli(r, 20.0) for r in rates]
+        cfg = asy.OptimizerConfig(grid_points=4096)
+        rows = [[eps] + [asy.error_exponent(f, eps, cfg)[0] for f in fs]
+                for eps in (i / 100.0 for i in range(1, 50))]
     elif num == 4:
-        f_rnd = asy.growth_rate_random(0.5)
-        f_spm = asy.growth_rate_bernoulli(0.5, 20.0)
         header = ["l", "f_random", "f_bernoulli"]
-        rows = [[0.0, f_rnd.limit0, f_spm.limit0]]
-        for i in range(1, 513):
-            l = i / 512
-            rows.append([l, f_rnd(l), f_spm(l)])
+        rows = _curves([asy.growth_rate_random(0.5),
+                        asy.growth_rate_bernoulli(0.5, 20.0)], 512)
     elif num in (5, 6):
         ensembles = (BernoulliEnsemble.random(20, 40),
                      BernoulliEnsemble(20, 40, 5.0))
@@ -274,8 +268,9 @@ def _add_mnk(p: argparse.ArgumentParser) -> None:
 
 
 def _add_opt(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=16384)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
+    cfg = asy.OptimizerConfig()
+    p.add_argument("--grid-points", type=int, default=cfg.grid_points)
+    p.add_argument("--refine-tol", type=float, default=cfg.refine_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--eps", type=float, nargs="+", required=True)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
+    p.add_argument("--refine-tol", type=float,
+                   default=asy.OptimizerConfig().refine_tol)
     _add_common(p)
     p.set_defaults(fn=_cmd_var_exponent)
 
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, nargs="+", default=[])
     p.add_argument("--poly", action="store_true",
                    help="emit the exact polynomial coefficients instead")
-    p.add_argument("--enum-budget", type=int, default=28,
+    p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET_LOG2,
                    help="log2 budget on words enumerated (codewords or "
                    "row-space words, whichever is fewer)")
     _add_common(p)
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive verification report")
     _add_mnk(p)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=float, default=oracle_mod.DEFAULT_REL_TOL)
     _add_common(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -384,8 +380,7 @@ def main(argv=None) -> int:
     try:
         args.fn(args)
     except (ValueError, ArithmeticError, EnumerationBudgetError,
-            MatrixFormatError, oracle_mod.GuardExceededError,
-            OSError) as exc:
+            oracle_mod.GuardExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,10 +6,10 @@ probabilities.
 Everything is computed in base-2 log domain (see logreal); every term in
 the formulas handled here is nonnegative for p <= 1/2, so no signed log
 arithmetic is required.  Each closed form is one numpy expression over
-the weights, with z^w from `_zpowers` (exact zeros at z = 0, the random
-ensemble k = n/2).  For the random ensemble, `avg_pu` and
-`var_pu_from_cov` (which `var_pu` calls) also check the sum against its
-closed form on every call.
+the weights, with ln z^w from `_log_zpowers` (-inf at z = 0, the random
+ensemble k = n/2) and log2((1 + z^w)/2) from `_log2_halves`.  For the
+random ensemble, `avg_pu` and `var_pu_from_cov` (which `var_pu` calls)
+also check the sum against its closed form on every call.
 
 The covariances come from one numpy kernel, `_cov_kernel`, over flat
 (w1, w2, v) triples with w1 <= w2, in blocks of whole pairs of at most
@@ -43,10 +43,6 @@ _BLOCK_TRIPLES = 1 << 13
 # Largest n for cov_matrix: its (n+1)^2 float64 matrix is 128 MiB there,
 # and its n^3/6 overlap triples about 1.1e10.
 _MAX_COV_N = 1 << 12
-
-
-class OverlapRangeError(ValueError):
-    """Support overlap v outside [max(0, w1+w2-n), min(w1, w2)]."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,16 +97,22 @@ def _log_z(ens: BernoulliEnsemble) -> float:
     return math.log1p(-2.0 * ens.p) if ens.z > 0.0 else -math.inf
 
 
-def _zpowers(ens: BernoulliEnsemble, top: int) -> np.ndarray:
-    """z^e for e = 0..top; exact zeros for e >= 1 at z = 0."""
-    zpow = np.ones(top + 1)
-    zpow[1:] = np.exp(np.arange(1, top + 1) * _log_z(ens))
-    return zpow
+def _log_zpowers(ens: BernoulliEnsemble, top: int) -> np.ndarray:
+    """ln z^e = e ln z for e = 0..top; -inf for e >= 1 at z = 0."""
+    lz = np.zeros(top + 1)
+    lz[1:] = np.arange(1, top + 1) * _log_z(ens)
+    return lz
+
+
+def _log2_halves(lz: np.ndarray) -> np.ndarray:
+    """log2((1 + z^e)/2) from lz = ln z^e, as log1p(expm1(lz)/2)/ln 2,
+    which cancels nothing where z^e is near 1."""
+    return np.log1p(np.expm1(lz) / 2.0) / _LN2
 
 
 def _log2_avg_weights(ens: BernoulliEnsemble) -> np.ndarray:
     """log2 E[A_w] = m log2((1 + z^w)/2) + log2 C(n, w) for w = 0..n."""
-    return (ens.m * (np.log1p(_zpowers(ens, ens.n)) / _LN2 - 1.0)
+    return (ens.m * _log2_halves(_log_zpowers(ens, ens.n))
             + _log2_binom_row(ens.n))
 
 
@@ -161,8 +163,7 @@ def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal
     if not (0 <= w1 <= n and 0 <= w2 <= n):
         raise ValueError("weights out of range")
     if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
-        raise OverlapRangeError(
-            f"overlap v={v} invalid for w1={w1}, w2={w2}, n={n}")
+        raise ValueError(f"overlap v={v} invalid for w1={w1}, w2={w2}, n={n}")
     log_z = _log_z(ens)
     s = sum(math.exp(e * log_z) if e else 1.0
             for e in (w1, w2, w1 + w2 - 2 * v))
@@ -215,7 +216,8 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
 
     Each overlap term carries a factor ((1 + y)^m - 1) with
     y = z^(w1+w2-2v) (1 - z^(2v)) / ((1+z^w1)(1+z^w2)) >= 0, computed as
-    expm1(m log1p(y)) in log domain so nothing cancels.  v = 0 is left
+    expm1(m log1p(y)) in log domain so nothing cancels; below 2^-1000,
+    where y may lose bits or underflow, it is m y from ln y.  v = 0 is left
     out: its numerator z^(w1+w2) - z^(w1+w2) is exactly 0.  The (w1, w2, v)
     triples are evaluated in blocks of whole pairs, at most
     _BLOCK_TRIPLES each unless one pair alone has more, and every pair's
@@ -224,10 +226,10 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     """
     n, m = ens.n, ens.m
     # z = 0 gives z^w = 0 and 1 - z^(2v) = 1, reproducing the random branch.
-    zpow = _zpowers(ens, 2 * n)         # z^e for e = w1 + w2 - 2v <= 2n
-    one_minus = np.zeros(n + 1)         # 1 - z^(2v) for v = 0..n
-    one_minus[1:] = -np.expm1(2 * np.arange(1, n + 1) * _log_z(ens))
-    half = np.log1p(zpow[:n + 1]) / _LN2 - 1.0
+    lz = _log_zpowers(ens, 2 * n)       # ln z^e for e = w1 + w2 - 2v <= 2n
+    zpow = np.exp(lz)
+    one_minus = -np.expm1(lz[::2])      # 1 - z^(2v) for v = 0..n
+    half = _log2_halves(lz[:n + 1])
     # log2 C(a, j) = table[offset[a] + j] for the rows a the pairs use.
     used = np.zeros(n + 1, dtype=bool)
     used[n] = used[w1] = used[n - w1] = True
@@ -255,20 +257,23 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
         a, b = p1[pair], p2[pair]
         e = a + b
         e -= 2 * v
+        den = (1.0 + zpow[p1]) * (1.0 + zpow[p2])
         y = zpow[e]
         y *= one_minus[v]
-        y /= ((1.0 + zpow[p1]) * (1.0 + zpow[p2]))[pair]
+        y /= den[pair]
         if (y < 0.0).any():
             raise ArithmeticError(f"negative overlap term {y.min()}")
+        tiny = np.flatnonzero(y < 2.0 ** -1000)
+        ln_my = lz[e[tiny]] + np.log(one_minus[v[tiny]] / den[pair[tiny]] * m)
+        y[tiny] = 1.0
         binom = table[offset[n] + a]
         binom += table[offset[a] + v]
         b -= v
         a = n - a
         binom += table[offset[a] + b]
         del a, b, e, pair
-        live = y > 0.0
-        terms = np.where(live, binom + log2_expm1_exp(
-            m * np.log1p(np.where(live, y, 1.0))), -np.inf)
+        terms = binom + log2_expm1_exp(m * np.log1p(y))
+        terms[tiny] = binom[tiny] + ln_my / _LN2
         out[lo:hi] = (m * (half[p1] + half[p2])
                       + _log2_sum_segments(terms, starts, cnt))
         lo = hi
@@ -350,9 +355,13 @@ def var_pu_from_cov(ens: BernoulliEnsemble, cov: np.ndarray,
 def _var_pu_random_closed(m: int, n: int, eps: float) -> LogReal:
     # (eps^2 + (1-eps)^2)^n - (1-eps)^(2n)
     #   = (1-eps)^(2n) expm1(n log1p((eps / (1-eps))^2)), which cancels nothing
+    # (r = eps / (1-eps)).  expm1(t) is t to double precision below
+    # t = 2^-60, and r^2 underflows below eps of about 1e-154, so there
+    # log2 t comes from log2 r.
     r = eps / (1.0 - eps)
-    diff = (2 * n * math.log1p(-eps) / _LN2
-            + log2_expm1_exp(n * math.log1p(r * r)))
+    log2_t = math.log2(n) + 2.0 * math.log2(r)
+    diff = 2 * n * math.log1p(-eps) / _LN2 + (
+        log2_t if log2_t < -60.0 else log2_expm1_exp(n * math.log1p(r * r)))
     return LogReal(math.log1p(-(2.0 ** -m)) / _LN2 - m + diff)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import Bsc
 from .rational import RationalPoly, poly_from_weight_counts
 
 DEFAULT_ENUM_BUDGET_LOG2 = 28
@@ -313,8 +314,7 @@ def weight_distribution(h: BitMatrix,
 def undetected_error_prob(h: BitMatrix, eps: float,
                           budget_log2: int = DEFAULT_ENUM_BUDGET_LOG2) -> float:
     """P_U(H) = sum_{w>=1} A_w eps^w (1-eps)^(n-w) for a BSC(eps)."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"need 0 < eps < 1/2, got {eps}")
+    Bsc(eps)
     wd = weight_distribution(h, budget_log2)
     return pu_from_weights(wd.counts, h.n, eps)
 

@@ -162,8 +162,7 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
     """Frequency estimate of P_U(H) by sampling BSC error vectors."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"need 0 < eps < 1/2, got {eps}")
+    Bsc(eps)
     # A chunk's t x n error bits are one Bernoulli(eps) stream, drawn by
     # its error positions.  A trial's syndrome is the XOR of H's columns
     # at its positions; it is undetected if it has an error and a zero

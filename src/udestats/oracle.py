@@ -37,6 +37,7 @@ from .rational import RationalPoly, poly_from_weight_counts
 _LOG2_MAX_CLASSES = 20
 _LOG2_MAX_CELLS = 26
 _BLOCK_CELLS = 1 << 20
+DEFAULT_REL_TOL = 1e-10  # verify_closed_forms' bound on a relative error
 
 
 class GuardExceededError(RuntimeError):
@@ -253,7 +254,7 @@ def _rel_err(oracle_value: Fraction, analytic_value: float) -> float:
 def verify_closed_forms(m: int, n: int, k,
                         eps_points: Sequence[Fraction] = (
                             Fraction(1, 10), Fraction(3, 10)),
-                        rel_tol: float = 1e-10) -> dict:
+                        rel_tol: float = DEFAULT_REL_TOL) -> dict:
     """Compare exhaustive-enumeration moments against the closed-form
     module on every overlapping quantity.
 

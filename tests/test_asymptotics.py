@@ -267,9 +267,14 @@ def test_optimizer_config_validation():
             var_pu_growth_rate(RatePoint(0.5, 4.0), 0.1, tol)
     with pytest.raises(ValueError):
         RatePoint(1.0)
-    for k in (-1.0, math.nan, 1e308):  # 4 * 1e308 overflows
+    for k in (-1.0, math.nan, math.inf, 1e308):  # 4 * 1e308 overflows
         with pytest.raises(ValueError, match="k="):
             RatePoint(0.5, k)
+        with pytest.raises(ValueError, match="k="):
+            growth_rate_bernoulli(0.5, k)
+    for eps in (0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="0 < eps < 1/2"):
+            exponent_objective(growth_rate_random(0.5), eps)
 
 
 def _zoom_loop(fn, a, b, tol):
@@ -341,8 +346,19 @@ def test_sup_rows_replays_the_loop():
 
         def one(x):
             return float(g.fn(np.array([x]))[0])
-        assert asy._sup_rows(g.fn, lo, hi, cfg) == \
+        assert asy._sup_rows(g.fn, lo, hi, cfg)[0] == \
             _sup_loop(one, lo, hi, cfg), eps
+
+
+def test_sup_rows_refines_an_extra_bracket():
+    # A spike narrower than the grid step, away from every grid top: only
+    # the extra bracket finds it, and its refined point wins.
+    def fn(x):
+        return 2.0 * np.maximum(0.0, 1.0 - np.abs(x - 0.30001) * 1e6) - x
+    cfg = OptimizerConfig(grid_points=64, refine_tol=1e-12)
+    assert asy._sup_rows(fn, 0.0, 1.0, cfg) == (0.0, 0.0)
+    value, x = asy._sup_rows(fn, 0.0, 1.0, cfg, [[0.3], [0.31], [1e-12]])
+    assert abs(x - 0.30001) < 1e-11 and abs(value - (2.0 - 0.30001)) < 1e-5
 
 
 def test_l2_one_rows_take_no_bracket(monkeypatch):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from udestats.cli import main
+from udestats import asymptotics, cli, gf2, oracle
+from udestats.cli import build_parser, main
 from udestats.logreal import LogReal
 
 
@@ -110,6 +111,22 @@ def test_no_nan_cells(capsys):
             assert cell == "neg_inf" or math.isfinite(float(cell))
 
 
+def test_awd_linear_column_reads_inf_past_the_float_range(capsys):
+    # Only the linear value of E[A_w] overflows; its log2 is exact.
+    code, out, err = run_cli(capsys, "awd", "--m", "1000", "--n", "3000",
+                             "--k", "4")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    big = [float(r[1]) >= 1024.0 for r in rows]
+    assert any(big) and not all(big)
+    for row, over in zip(rows, big):
+        assert row[2] == "inf" if over else math.isfinite(float(row[2]))
+    assert cli._log_lin(LogReal(1024.0)) == [1024.0, "inf"]
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._fmt(cli._log_lin(LogReal(bad))[0])
+
+
 def test_float_formatting_17_digits(capsys):
     from udestats.ensemble import BernoulliEnsemble, Bsc, avg_pu
     code, out, _ = run_cli(capsys, "avg-pu", "--m", "1", "--n", "2",
@@ -172,6 +189,13 @@ def test_domain_errors_exit_nonzero(capsys):
             "k=1e+308",
         ("cov-exponent", "--rate", "0.5", "--k", "1e308", "--l1", "0.5",
          "--l2", "0.5"): "k=1e+308",
+        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k", "1e308",
+         "--eps", "0.1"): "k=1e+308",
+        # the curve table is one allocation of points + 1 rows
+        ("growth", "--family", "random", "--rate", "0.5", "--points", "0"):
+            "--points",
+        ("growth", "--family", "random", "--rate", "0.5", "--points",
+         str(2**21 + 1)): "--points",
     }
     for argv in cases + list(named):
         code, _, err = run_cli(capsys, *argv)
@@ -393,6 +417,10 @@ def test_cov_matrix_is_built_once_per_ensemble(capsys, monkeypatch):
     # log2 C(n, w) near 2^14 carries an ulp of 3.6e-12
     (("avg-pu", "--m", "1", "--n", "20000", "--k", "10000", "--eps",
       "0.49"), -1.0, 2.0 ** -50 * 20001),
+    # eps^2 / 4 again where (eps / (1-eps))^2 underflows
+    *[(("var-pu", "--m", "1", "--n", "1", "--k", "1/2", "--eps", eps),
+       2.0 * math.log2(float(eps)) - 2.0, 1e-12)
+      for eps in ("1e-160", "1e-200", "1e-300")],
 ])
 def test_random_closed_forms_at_small_eps_and_large_n(capsys, argv,
                                                       log2_value, tol):
@@ -403,3 +431,24 @@ def test_random_closed_forms_at_small_eps_and_large_n(capsys, argv,
     assert math.isfinite(value)
     if log2_value is not None:
         assert abs(value - log2_value) <= tol
+
+
+def test_parser_defaults_are_the_library_defaults():
+    cfg = asymptotics.OptimizerConfig()
+    parser = build_parser()
+
+    def defaults(*argv):
+        return vars(parser.parse_args(list(argv)))
+    for argv in [("exponent", "--family", "random", "--rate", "0.5",
+                  "--eps", "0.1"),
+                 ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
+                  "--l2", "0.5")]:
+        args = defaults(*argv)
+        assert (args["grid_points"], args["refine_tol"]) == (
+            cfg.grid_points, cfg.refine_tol)
+    assert defaults("var-exponent", "--rate", "0.5", "--k", "4", "--eps",
+                    "0.1")["refine_tol"] == cfg.refine_tol
+    assert defaults("exact-pu", "--matrix", "h.txt")["enum_budget"] == \
+        gf2.DEFAULT_ENUM_BUDGET_LOG2
+    assert defaults("oracle", "--m", "1", "--n", "2", "--k", "1")[
+        "rel_tol"] == oracle.DEFAULT_REL_TOL
