@@ -120,15 +120,6 @@ def binary_entropy(x):
     return _scalar(-(_xlog2x(x) + _xlog2x(1.0 - x)))
 
 
-def scaled_entropy(scale, x):
-    """scale * h(x / scale); 0 where scale is 0 (the x = 0 corner).  Both
-    arguments broadcast."""
-    scale = np.asarray(scale, dtype=float)
-    pos = scale > 0.0
-    ratio = np.clip(x / np.where(pos, scale, 1.0), 0.0, 1.0)
-    return _scalar(np.where(pos, scale * binary_entropy(ratio), 0.0))
-
-
 def growth_rate_random(R: float) -> GrowthRate:
     """f(l) = h(l) - (1 - R) for the random family."""
     RatePoint(R)
@@ -216,8 +207,10 @@ def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
     """Grid scan of the objective fn on [lo, hi].
 
     Returns the first grid maximum, (argmax, value), and the local tops of
-    the grid as brackets (a, b) of their two neighbours, in grid order.
-    An interval with hi <= lo is its point hi.
+    the grid as brackets (a, b) of their two neighbours, in grid order.  A
+    top is above its left neighbour and not below its right one, so a run
+    of tied points is one top, its first point.  An interval with
+    hi <= lo is its point hi.
     """
     if hi <= lo:
         return hi, fn(np.array([hi]))[0], (np.empty(0), np.empty(0))
@@ -227,7 +220,7 @@ def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
     ys = np.concatenate([fn(c) for c in np.array_split(xs, parts)])
     top = int(np.argmax(ys))
     pad = [-np.inf]
-    j = np.flatnonzero((ys >= np.concatenate([pad, ys[:-1]]))
+    j = np.flatnonzero((ys > np.concatenate([pad, ys[:-1]]))
                        & (ys >= np.concatenate([ys[1:], pad])))
     return xs[top], ys[top], (xs[np.maximum(j - 1, 0)],
                               xs[np.minimum(j + 1, pts)])
@@ -270,23 +263,13 @@ def error_exponent(f: GrowthRate, eps: float,
 
 
 def _inner_sup_closed(R: float, a, b):
-    """sup over mu in (0, 1-R] of the scaled inner objective, in closed
-    form (1-R) log2(a + b); a = 0 is the mu -> 0+ limit."""
+    """sup over mu in (0, 1-R] of the scaled inner objective
+    (1-R) h(mu / (1-R)) + mu log2 a + (1-R-mu) log2 b, in closed form
+    (1-R) log2(a + b); a = 0 is the mu -> 0+ limit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if (a < 0.0).any() or (b <= 0.0).any():
         raise ValueError("need a >= 0 and b > 0")
     return _scalar((1.0 - R) * np.log2(a + b))
-
-
-def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
-    """Numeric sup over mu of the scaled inner objective; cross-check for
-    the closed form at a > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("need a > 0 and b > 0")
-    c = 1.0 - R
-    la, lb = math.log2(a), math.log2(b)
-    return _sup_rows(lambda mu: scaled_entropy(c, mu) + mu * la
-                     + (c - mu) * lb, 0.0, c, OptimizerConfig(points))[0]
 
 
 def _a_term(k: float, l1, l2, v):

@@ -9,6 +9,7 @@ rendering.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -37,8 +38,9 @@ def _fmt(x) -> str:
 
 
 def _emit(args, header: list[str], rows: list[list], doc=None) -> None:
-    """Rows as CSV, or with --json as records; with --json a given `doc`
-    is written in place of the records."""
+    """Rows as CSV (a cell that holds a comma or quote is quoted), or with
+    --json as records; with --json a given `doc` is written in place of
+    the records."""
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         formatted = [[_fmt(v) for v in row] for row in rows]
@@ -48,9 +50,9 @@ def _emit(args, header: list[str], rows: list[list], doc=None) -> None:
             json.dump(doc, out, indent=2)
             out.write("\n")
         else:
-            out.write(",".join(header) + "\n")
-            for row in formatted:
-                out.write(",".join(row) + "\n")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(formatted)
     finally:
         if args.output:
             out.close()
@@ -84,12 +86,11 @@ def _opt_config(args) -> asy.OptimizerConfig:
                                refine_tol=args.refine_tol)
 
 
-def _growth_rate(family: str, rate: float, k) -> asy.GrowthRate:
-    if family == "random":
-        return asy.growth_rate_random(rate)
-    if k is None:
-        raise ValueError("--k is required for the bernoulli family")
-    return asy.growth_rate_bernoulli(rate, float(k))
+def _growth_rate(args) -> asy.GrowthRate:
+    """The Bernoulli family at --k, or the random family with no --k."""
+    if args.k is None:
+        return asy.growth_rate_random(args.rate)
+    return asy.growth_rate_bernoulli(args.rate, float(_parse_k(args.k)))
 
 
 def _curves(fs, points: int) -> list[list]:
@@ -142,14 +143,14 @@ def _cmd_var_pu(args) -> None:
 
 
 def _cmd_exponent(args) -> None:
-    f = _growth_rate(args.family, args.rate, args.k and _parse_k(args.k))
+    f = _growth_rate(args)
     cfg = _opt_config(args)
     rows = [[eps, *asy.error_exponent(f, eps, cfg)] for eps in args.eps]
     _emit(args, ["eps", "exponent", "argmax_l"], rows)
 
 
 def _cmd_growth(args) -> None:
-    f = _growth_rate(args.family, args.rate, args.k and _parse_k(args.k))
+    f = _growth_rate(args)
     _emit(args, ["l", "growth_rate"], _curves([f], args.points))
 
 
@@ -182,8 +183,7 @@ def _cmd_exact_pu(args) -> None:
 
 def _cmd_oracle(args) -> None:
     k = _parse_k(args.k)
-    report = oracle_mod.verify_closed_forms(args.m, args.n, k,
-                                            rel_tol=args.rel_tol)
+    report = oracle_mod.verify_closed_forms(args.m, args.n, k)
     rows = [[c["name"], c.get("paper_value", ""), c["oracle_value"],
              c["analytic_value"], c["rel_err"], c["status"]]
             for c in report["checks"]]
@@ -304,19 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_var_pu)
 
     p = sub.add_parser("exponent", help="error exponent (sup + argmax)")
-    p.add_argument("--family", choices=["random", "bernoulli"],
-                   required=True)
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--k", default=None)
+    p.add_argument("--k", default=None,
+                   help="Bernoulli row weight; omit for the random family")
     p.add_argument("--eps", type=float, nargs="+", required=True)
     _add_opt(p); _add_common(p)
     p.set_defaults(fn=_cmd_exponent)
 
     p = sub.add_parser("growth", help="asymptotic growth rate curve")
-    p.add_argument("--family", choices=["random", "bernoulli"],
-                   required=True)
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--k", default=None)
+    p.add_argument("--k", default=None,
+                   help="Bernoulli row weight; omit for the random family")
     p.add_argument("--points", type=int, default=512)
     _add_common(p)
     p.set_defaults(fn=_cmd_growth)
@@ -342,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact-pu", help="P_U of a matrix file")
     p.add_argument("--matrix", required=True, help="matrix text file")
-    p.add_argument("--eps", type=float, nargs="+", default=[])
-    p.add_argument("--poly", action="store_true",
-                   help="emit the exact polynomial coefficients instead")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--eps", type=float, nargs="+")
+    what.add_argument("--poly", action="store_true",
+                      help="emit the exact polynomial coefficients")
     p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET_LOG2,
                    help="log2 budget on words enumerated (codewords or "
                    "row-space words, whichever is fewer)")
@@ -352,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exact_pu)
 
     p = sub.add_parser("oracle", help="exhaustive verification report")
-    _add_mnk(p)
-    p.add_argument("--rel-tol", type=float, default=oracle_mod.DEFAULT_REL_TOL)
-    _add_common(p)
+    _add_mnk(p); _add_common(p)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("sim", help="Monte Carlo estimation of P_U stats")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .rational import RationalPoly, poly_from_weight_counts
 _LOG2_MAX_CLASSES = 20
 _LOG2_MAX_CELLS = 26
 _BLOCK_CELLS = 1 << 20
-DEFAULT_REL_TOL = 1e-10  # verify_closed_forms' bound on a relative error
+# The crossover probabilities at which verify_closed_forms checks P_U.
+_EPS_POINTS = (Fraction(1, 10), Fraction(3, 10))
 
 
 class GuardExceededError(RuntimeError):
@@ -200,37 +201,15 @@ def brute_force_joint_pass(m: int, n: int, k, x: BitVector, y: BitVector
     return q ** m
 
 
-# --- Exact-rational evaluations of the closed forms (the analytic side of
-# the oracle comparisons, kept in Fractions so equality can be exact). ---
-
-def avg_weight_exact(m: int, n: int, k, w: int) -> Fraction:
-    k = _check_k(n, Fraction(k))
-    z = 1 - 2 * k / n
-    return (Fraction(1 + z ** w, 2)) ** m * math.comb(n, w)
-
-
 def joint_pass_prob_exact(m: int, n: int, k, w1: int, w2: int, v: int
                           ) -> Fraction:
+    """The closed form of Pr[H x^t = 0 and H y^t = 0] in Fractions, for
+    |x| = w1, |y| = w2 and overlap v."""
     k = _check_k(n, Fraction(k))
     if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
         raise ValueError(f"overlap v={v} invalid for w1={w1}, w2={w2}")
     z = 1 - 2 * k / n
     return (Fraction(1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v), 4)) ** m
-
-
-def second_moment_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
-    if w1 > w2:
-        w1, w2 = w2, w1
-    acc = Fraction(0)
-    for v in range(max(0, w1 + w2 - n), w1 + 1):
-        count = math.comb(n, w1) * math.comb(w1, v) * math.comb(n - w1, w2 - v)
-        acc += count * joint_pass_prob_exact(m, n, k, w1, w2, v)
-    return acc
-
-
-def cov_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
-    return (second_moment_weight_exact(m, n, k, w1, w2)
-            - avg_weight_exact(m, n, k, w1) * avg_weight_exact(m, n, k, w2))
 
 
 # --- Verification report ---
@@ -251,10 +230,7 @@ def _rel_err(oracle_value: Fraction, analytic_value: float) -> float:
     return abs(o - a) / max(abs(o), abs(a))
 
 
-def verify_closed_forms(m: int, n: int, k,
-                        eps_points: Sequence[Fraction] = (
-                            Fraction(1, 10), Fraction(3, 10)),
-                        rel_tol: float = DEFAULT_REL_TOL) -> dict:
+def verify_closed_forms(m: int, n: int, k, rel_tol: float = 1e-10) -> dict:
     """Compare exhaustive-enumeration moments against the closed-form
     module on every overlapping quantity.
 
@@ -292,7 +268,7 @@ def verify_closed_forms(m: int, n: int, k,
                 ens_mod.second_moment_weight(analytic, w1, w2).to_float())
             add(f"cov[{w1},{w2}]", moments.cov[w1][w2],
                 LogReal(float(cov[w1, w2])).to_float())
-    for eps in eps_points:
+    for eps in _EPS_POINTS:
         ch = Bsc(float(eps))
         add(f"avg_pu[eps={eps}]", moments.e_pu(eps),
             ens_mod.avg_pu(analytic, ch).to_float())

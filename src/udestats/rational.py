@@ -36,10 +36,6 @@ class RationalPoly:
         return cls()
 
     @classmethod
-    def monomial(cls, coeff: Rat, degree: int) -> "RationalPoly":
-        return cls([0] * degree + [coeff])
-
-    @classmethod
     def bernstein(cls, w: int, n: int) -> "RationalPoly":
         """eps^w (1-eps)^(n-w) expanded in the monomial basis."""
         if not 0 <= w <= n:

@@ -12,9 +12,10 @@ from udestats.asymptotics import (OptimizerConfig, RatePoint, _a_term,
                                   _b_term, _inner_sup_closed, binary_entropy,
                                   cov_growth_rate, error_exponent,
                                   exponent_objective, growth_rate_bernoulli,
-                                  growth_rate_random, inner_sup_grid,
-                                  scaled_entropy, var_pu_growth_rate)
+                                  growth_rate_random, var_pu_growth_rate)
 from udestats.ensemble import BernoulliEnsemble, Bsc, cov_weight, var_pu
+
+from references import inner_sup_grid, scaled_entropy
 
 FAST = OptimizerConfig(grid_points=2048, refine_tol=1e-10)
 
@@ -305,7 +306,7 @@ def _sup_loop(fn, lo, hi, cfg):
     ys = [fn(x) for x in xs]
     best = max(ys)
     for i, y in enumerate(ys):
-        if y >= (ys[i - 1] if i else -math.inf) and \
+        if y > (ys[i - 1] if i else -math.inf) and \
                 y >= (ys[i + 1] if i + 1 < len(ys) else -math.inf):
             x = _zoom_loop(fn, xs[max(i - 1, 0)],
                            xs[min(i + 1, len(xs) - 1)], cfg.refine_tol)
@@ -364,7 +365,7 @@ def test_sup_rows_refines_an_extra_bracket():
 def test_l2_one_rows_take_no_bracket(monkeypatch):
     # The overlap range [l1 + l2 - 1, l1] is the point l1 when l2 = 1, but
     # l1 + 1.0 - 1.0 rounds below l1 for some l1 (1/48 among them); such a
-    # sliver would tie all its grid points as tops.
+    # sliver would spend a grid scan and a bracket on one point.
     brackets = []
     grid_tops = asy._grid_tops
 
@@ -377,6 +378,21 @@ def test_l2_one_rows_take_no_bracket(monkeypatch):
     for l1 in np.arange(1, 49) / 48.0:
         cov_growth_rate(RatePoint(0.5, 4.0), float(l1), 1.0, cfg)
     assert brackets == [0] * 48
+
+
+def test_a_plateau_is_one_bracket(monkeypatch):
+    # Tied grid points are one local top: a constant objective on a 2^16
+    # step grid hands the zoom one bracket, not one per point.
+    brackets = []
+    zoom = asy._zoom_refine
+
+    def spy(fn, a, b, tol):
+        brackets.append(len(a))
+        return zoom(fn, a, b, tol)
+    monkeypatch.setattr(asy, "_zoom_refine", spy)
+    cfg = OptimizerConfig(grid_points=1 << 16, refine_tol=1e-30)
+    assert asy._sup_rows(np.ones_like, 0.0, 1.0, cfg) == (1.0, 0.0)
+    assert brackets == [1]
 
 
 FIG3_CFG = OptimizerConfig(grid_points=4096)

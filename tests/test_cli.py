@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from udestats import asymptotics, cli, gf2, oracle
+from udestats import asymptotics, cli, gf2
 from udestats.cli import build_parser, main
 from udestats.logreal import LogReal
 
@@ -29,13 +29,32 @@ def parse_csv(text):
 
 
 def test_exponent_random_example(capsys):
-    code, out, _ = run_cli(capsys, "exponent", "--family", "random",
-                           "--rate", "0.5", "--eps", "0.2")
+    code, out, _ = run_cli(capsys, "exponent", "--rate", "0.5", "--eps",
+                           "0.2")
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["eps", "exponent", "argmax_l"]
     assert math.isclose(float(rows[0][1]), -0.5, abs_tol=1e-6)
     assert math.isclose(float(rows[0][2]), 0.2, abs_tol=1e-4)
+
+
+@pytest.mark.parametrize("k, f", [
+    ((), asymptotics.growth_rate_random(0.5)),
+    (("--k", "20"), asymptotics.growth_rate_bernoulli(0.5, 20.0)),
+])
+def test_no_k_is_the_random_family(capsys, k, f):
+    code, out, _ = run_cli(capsys, "exponent", "--rate", "0.5", *k, "--eps",
+                           "0.2")
+    assert code == 0
+    value, at = asymptotics.error_exponent(f, 0.2)
+    cells = ",".join(cli._fmt(v) for v in (0.2, value, at))
+    assert out == f"eps,exponent,argmax_l\n{cells}\n"
+    code, out, _ = run_cli(capsys, "growth", "--rate", "0.5", *k,
+                           "--points", "8")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[1]) for r in rows] == [f.limit0] + [
+        f(i / 8) for i in range(1, 9)]
 
 
 def test_oracle_report(capsys):
@@ -77,6 +96,17 @@ def test_oracle_csv(capsys):
             "MISMATCH_WITH_PAPER"] in rows
     assert rows[-1][:4] == ["overall", "", "", ""]
     assert float(rows[-1][4]) <= 1e-10 and rows[-1][5] == "PASS"
+
+
+def test_csv_quotes_cells_that_hold_a_comma(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "6",
+                           "--k", "1/3")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert all(len(row) == len(header) == 6 for row in rows)
+    names = [row[0] for row in rows]
+    assert "cov[1,2]" in names and "second_moment[1,2]" in names
+    assert '\n"cov[1,2]",' in out
 
 
 def test_csv_json_identical_values(capsys):
@@ -155,12 +185,9 @@ def test_domain_errors_exit_nonzero(capsys):
         ("awd", "--m", "2", "--n", "4", "--k", "1e400"),
         ("cov-exponent", "--rate", "0.5", "--k", "1e400", "--l1", "0.5",
          "--l2", "0.5"),
-        ("exponent", "--family", "bernoulli", "--rate", "0.5",
-         "--eps", "0.1"),
-        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k", "20",
-         "--eps", "0.1", "--grid-points", str(2**21 + 1)),
-        ("exponent", "--family", "random", "--rate", "0.5", "--eps", "0.1",
-         "--refine-tol", "nan"),
+        ("exponent", "--rate", "0.5", "--k", "20", "--eps", "0.1",
+         "--grid-points", str(2**21 + 1)),
+        ("exponent", "--rate", "0.5", "--eps", "0.1", "--refine-tol", "nan"),
         ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
          "--l2", "0.5", "--refine-tol", "nan"),
         ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
@@ -182,20 +209,18 @@ def test_domain_errors_exit_nonzero(capsys):
         ("oracle", "--m", "1", "--n", "2", "--k", "1e-400"): "underflows",
         ("avg-pu", "--m", "1", "--n", "2", "--k", "1e-400", "--eps", "0.1"):
             "underflows",
-        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k",
-         "1e-400", "--eps", "0.1"): "underflows",
+        ("exponent", "--rate", "0.5", "--k", "1e-400", "--eps", "0.1"):
+            "underflows",
         # finite, but 4k overflows
         ("var-exponent", "--rate", "0.5", "--k", "1e308", "--eps", "0.1"):
             "k=1e+308",
         ("cov-exponent", "--rate", "0.5", "--k", "1e308", "--l1", "0.5",
          "--l2", "0.5"): "k=1e+308",
-        ("exponent", "--family", "bernoulli", "--rate", "0.5", "--k", "1e308",
-         "--eps", "0.1"): "k=1e+308",
+        ("exponent", "--rate", "0.5", "--k", "1e308", "--eps", "0.1"):
+            "k=1e+308",
         # the curve table is one allocation of points + 1 rows
-        ("growth", "--family", "random", "--rate", "0.5", "--points", "0"):
-            "--points",
-        ("growth", "--family", "random", "--rate", "0.5", "--points",
-         str(2**21 + 1)): "--points",
+        ("growth", "--rate", "0.5", "--points", "0"): "--points",
+        ("growth", "--rate", "0.5", "--points", str(2**21 + 1)): "--points",
     }
     for argv in cases + list(named):
         code, _, err = run_cli(capsys, *argv)
@@ -294,6 +319,25 @@ def test_var_exponent_has_no_grid_points_option(capsys):
     assert "--grid-points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("exponent", "--family", "random", "--rate", "0.5", "--eps", "0.2"),
+     "--family"),
+    (("growth", "--family", "bernoulli", "--rate", "0.5", "--k", "20"),
+     "--family"),
+    (("oracle", "--m", "1", "--n", "2", "--k", "1/2", "--rel-tol", "1e-10"),
+     "--rel-tol"),
+    (("exact-pu", "--matrix", "h.txt"), "one of the arguments --eps --poly"),
+    (("exact-pu", "--matrix", "h.txt", "--eps", "0.1", "--poly"),
+     "not allowed with argument"),
+])
+def test_removed_and_conflicting_options_are_usage_errors(capsys, argv,
+                                                          named):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_seed_only_on_sim(capsys, monkeypatch):
     monkeypatch.setenv("UDE_WORKERS", "abc")
     code, out, _ = run_cli(capsys, "awd", "--m", "1", "--n", "2", "--k", "1")
@@ -313,8 +357,8 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_growth_curve_endpoints(capsys):
-    code, out, _ = run_cli(capsys, "growth", "--family", "bernoulli",
-                           "--rate", "0.5", "--k", "20", "--points", "16")
+    code, out, _ = run_cli(capsys, "growth", "--rate", "0.5", "--k", "20",
+                           "--points", "16")
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 0.0
@@ -439,8 +483,7 @@ def test_parser_defaults_are_the_library_defaults():
 
     def defaults(*argv):
         return vars(parser.parse_args(list(argv)))
-    for argv in [("exponent", "--family", "random", "--rate", "0.5",
-                  "--eps", "0.1"),
+    for argv in [("exponent", "--rate", "0.5", "--eps", "0.1"),
                  ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
                   "--l2", "0.5")]:
         args = defaults(*argv)
@@ -448,7 +491,5 @@ def test_parser_defaults_are_the_library_defaults():
             cfg.grid_points, cfg.refine_tol)
     assert defaults("var-exponent", "--rate", "0.5", "--k", "4", "--eps",
                     "0.1")["refine_tol"] == cfg.refine_tol
-    assert defaults("exact-pu", "--matrix", "h.txt")["enum_budget"] == \
-        gf2.DEFAULT_ENUM_BUDGET_LOG2
-    assert defaults("oracle", "--m", "1", "--n", "2", "--k", "1")[
-        "rel_tol"] == oracle.DEFAULT_REL_TOL
+    assert defaults("exact-pu", "--matrix", "h.txt", "--eps", "0.1")[
+        "enum_budget"] == gf2.DEFAULT_ENUM_BUDGET_LOG2

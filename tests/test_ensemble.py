@@ -21,6 +21,8 @@ from udestats.ensemble import (BernoulliEnsemble, Bsc, _avg_pu_random_closed,
                                second_moment_weight, var_pu, var_pu_from_cov)
 from udestats.logreal import log2_sum
 
+from references import cov_weight_exact
+
 
 class _ForcedGeneric(BernoulliEnsemble):
     """Disables the random-ensemble dispatch so the generic summation
@@ -326,7 +328,7 @@ def test_cov_rows_match_exact_fractions_at_n100():
     cov = cov_matrix(ens)
     for w1 in (1, 37, 50, 99):
         for w2 in range(1, n + 1, 11):
-            exact = oracle.cov_weight_exact(m, n, k, w1, w2)
+            exact = cov_weight_exact(m, n, k, w1, w2)
             # Scale to [1/2, 2] first: log2 of the huge numerator and
             # denominator apart would lose digits to their difference.
             e = exact.numerator.bit_length() - exact.denominator.bit_length()
@@ -342,7 +344,7 @@ def test_cov_weight_at_small_k(k):
     ens = BernoulliEnsemble(m, n, float(k))
     for w1 in range(1, n + 1):
         for w2 in range(w1, n + 1):
-            exact = float(oracle.cov_weight_exact(m, n, Fraction(k), w1, w2))
+            exact = float(cov_weight_exact(m, n, Fraction(k), w1, w2))
             got = cov_weight(ens, w1, w2).to_float()
             assert abs(got - exact) <= 1e-12 * exact, (w1, w2)
 

@@ -12,11 +12,13 @@ import udestats.oracle as oracle
 from udestats.gf2 import BitVector
 from udestats.oracle import (EnsembleMoments, GuardExceededError,
                              _class_sums_cache, _column_classes,
-                             _weight_class_sums, avg_weight_exact,
-                             brute_force_joint_pass, cov_weight_exact,
+                             _weight_class_sums, brute_force_joint_pass,
                              enumerate_ensemble, joint_pass_prob_exact,
-                             second_moment_weight_exact, verify_closed_forms)
+                             verify_closed_forms)
 from udestats.rational import RationalPoly
+
+from references import (avg_weight_exact, cov_weight_exact,
+                        second_moment_weight_exact)
 
 
 def test_worked_example_exact():

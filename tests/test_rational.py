@@ -40,13 +40,6 @@ def test_zero_and_trim():
     assert RationalPoly([0]) == RationalPoly.zero()
 
 
-def test_monomial():
-    p = RationalPoly.monomial(Fraction(3, 4), 2)
-    assert p[2] == Fraction(3, 4)
-    assert p[0] == 0 and p[5] == 0
-    assert p.degree == 2
-
-
 @given(st.integers(0, 10), st.integers(0, 10))
 def test_bernstein_evaluation(n, w):
     if w > n:
