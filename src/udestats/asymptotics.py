@@ -15,8 +15,9 @@ of every live bracket and narrows each bracket 64x around its best point.
 The Var[P_U] growth rate is one sup over the simplex of parity-row
 states; its best grid points are refined alike, on 3-D boxes.  Ranges
 are checked by the types that own them: eps by `Bsc`, R and k by
-`RatePoint`, the grid and tolerance by `OptimizerConfig`.  Public
-functions return Python floats for float arguments.
+`RatePoint`, the grid by `OptimizerConfig`.  Every zoom narrows its
+brackets and boxes to the fixed width _REFINE_TOL.  Public functions
+return Python floats for float arguments.
 
 The covariance growth rate's entropy term h(l1) + l1 h(v / l1) +
 (1 - l1) h((l2 - v) / (1 - l1)) carries each scale prefactor; it is
@@ -34,6 +35,9 @@ import numpy as np
 from .ensemble import Bsc
 
 _TINY = np.finfo(float).tiny
+# Width at which a zoom bracket or box is done (relative to its point for
+# the exponent's geometric tail), and the cap on zoom calls.
+_REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 200
 # Interior points per bracket and call of _zoom_refine.  A constant, so an
 # interval's result does not depend on the others; 127 narrows a bracket
@@ -77,13 +81,10 @@ class RatePoint:
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
     grid_points: int = 16384
-    refine_tol: float = 1e-10
 
     def __post_init__(self):
         if not 64 <= self.grid_points <= _MAX_GRID_POINTS:
             raise ValueError("grid_points must be in [64, 2^21]")
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be positive")
 
 
 def _scalar(x):
@@ -234,7 +235,7 @@ def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0))):
     value wins."""
     x0, y0, (a, b) = _grid_tops(fn, lo, hi, cfg)
     x = _zoom_refine(fn, *np.append(
-        [a, b, np.full(len(a), cfg.refine_tol)], extra, axis=1))
+        [a, b, np.full(len(a), _REFINE_TOL)], extra, axis=1))
     cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
     top = int(np.argmax(cy))
     return float(cy[top]), float(cx[top])
@@ -258,7 +259,7 @@ def error_exponent(f: GrowthRate, eps: float,
     tail = tail[:np.argmax(tail <= 1e-13) + 1]
     tx = float(tail[np.argmax(g.fn(tail))])
     value, x = _sup_rows(g.fn, lo, 1.0, cfg, [
-        [tx / 2.0], [min(tx * 2.0, 1.0)], [cfg.refine_tol * tx]])
+        [tx / 2.0], [min(tx * 2.0, 1.0)], [_REFINE_TOL * tx]])
     return (value, x) if value >= g.limit0 else (g.limit0, 0.0)
 
 
@@ -317,9 +318,7 @@ _SIMPLEX_STEPS = 120
 _SIMPLEX_TOPS = 20
 
 
-def var_pu_growth_rate(rp: RatePoint, eps: float,
-                       refine_tol: float = OptimizerConfig().refine_tol
-                       ) -> float:
+def var_pu_growth_rate(rp: RatePoint, eps: float) -> float:
     """Growth rate of Var[P_U] for the sparse family, as a sup over the
     states of the parity rows.
 
@@ -335,13 +334,12 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
     The objective is symmetric under j <-> k, so the grid covers
     a_j <= a_k only, one a_j slice at a time.  The objective takes the
     square roots of (a_j, a_k, a_l); its best grid points are refined
-    together by a box zoom on the roots until each box is refine_tol
+    together by a box zoom on the roots until each box is _REFINE_TOL
     wide, which also resolves a sup next to a face.
     """
     if rp.k is None:
         raise ValueError("var_pu_growth_rate needs the sparse parameter k")
     Bsc(eps)
-    OptimizerConfig(refine_tol=refine_tol)
     R, c = rp.R, 2.0 * rp.k * (1.0 - rp.R)
     q0, q1, q2 = (1.0 - eps) ** 2, eps * (1.0 - eps), eps ** 2
 
@@ -364,5 +362,5 @@ def var_pu_growth_rate(rp: RatePoint, eps: float,
         top = np.argsort(ys)[-_SIMPLEX_TOPS:]
         xs, ys = xs[top], ys[top]
     t = _box_zoom(f, np.sqrt(np.maximum(xs - 1.0 / n, 0.0)),
-                  np.sqrt(np.minimum(xs + 1.0 / n, 1.0)), refine_tol)
+                  np.sqrt(np.minimum(xs + 1.0 / n, 1.0)), _REFINE_TOL)
     return float(max(ys.max(), f(*t.T).max()))

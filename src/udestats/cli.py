@@ -22,8 +22,8 @@ from . import ensemble as ens_mod
 from . import montecarlo as mc
 from . import oracle as oracle_mod
 from .ensemble import BernoulliEnsemble, Bsc
-from .gf2 import (DEFAULT_ENUM_BUDGET_LOG2, BitMatrix, EnumerationBudgetError,
-                  pu_polynomial, undetected_error_prob)
+from .gf2 import (BitMatrix, EnumerationBudgetError, pu_polynomial,
+                  undetected_error_prob)
 from .logreal import LogReal
 
 
@@ -79,11 +79,6 @@ def _log_lin(value) -> list:
     where a finite log2 is >= 1024, past the largest float."""
     big = math.isfinite(value.log2) and value.log2 >= 1024.0
     return [value.log2, "inf" if big else value.to_float()]
-
-
-def _opt_config(args) -> asy.OptimizerConfig:
-    return asy.OptimizerConfig(grid_points=args.grid_points,
-                               refine_tol=args.refine_tol)
 
 
 def _growth_rate(args) -> asy.GrowthRate:
@@ -144,7 +139,7 @@ def _cmd_var_pu(args) -> None:
 
 def _cmd_exponent(args) -> None:
     f = _growth_rate(args)
-    cfg = _opt_config(args)
+    cfg = asy.OptimizerConfig(args.grid_points)
     rows = [[eps, *asy.error_exponent(f, eps, cfg)] for eps in args.eps]
     _emit(args, ["eps", "exponent", "argmax_l"], rows)
 
@@ -156,15 +151,15 @@ def _cmd_growth(args) -> None:
 
 def _cmd_cov_exponent(args) -> None:
     rp = asy.RatePoint(args.rate, float(_parse_k(args.k)))
-    value = asy.cov_growth_rate(rp, args.l1, args.l2, _opt_config(args))
+    value = asy.cov_growth_rate(rp, args.l1, args.l2,
+                                asy.OptimizerConfig(args.grid_points))
     _emit(args, ["l1", "l2", "cov_growth_rate"],
           [[args.l1, args.l2, value]])
 
 
 def _cmd_var_exponent(args) -> None:
     rp = asy.RatePoint(args.rate, float(_parse_k(args.k)))
-    rows = [[eps, asy.var_pu_growth_rate(rp, eps, args.refine_tol)]
-            for eps in args.eps]
+    rows = [[eps, asy.var_pu_growth_rate(rp, eps)] for eps in args.eps]
     _emit(args, ["eps", "var_pu_growth_rate"], rows)
 
 
@@ -172,12 +167,11 @@ def _cmd_exact_pu(args) -> None:
     with open(args.matrix) as fh:
         h = BitMatrix.parse_text(fh.read())
     if args.poly:
-        poly = pu_polynomial(h, args.enum_budget)
+        poly = pu_polynomial(h)
         rows = [[j, str(poly[j])] for j in range(max(poly.degree, 0) + 1)]
         _emit(args, ["degree", "coefficient"], rows)
         return
-    rows = [[eps, undetected_error_prob(h, eps, args.enum_budget)]
-            for eps in args.eps]
+    rows = [[eps, undetected_error_prob(h, eps)] for eps in args.eps]
     _emit(args, ["eps", "pu"], rows)
 
 
@@ -268,9 +262,8 @@ def _add_mnk(p: argparse.ArgumentParser) -> None:
 
 
 def _add_opt(p: argparse.ArgumentParser) -> None:
-    cfg = asy.OptimizerConfig()
-    p.add_argument("--grid-points", type=int, default=cfg.grid_points)
-    p.add_argument("--refine-tol", type=float, default=cfg.refine_tol)
+    p.add_argument("--grid-points", type=int,
+                   default=asy.OptimizerConfig().grid_points)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--eps", type=float, nargs="+", required=True)
-    p.add_argument("--refine-tol", type=float,
-                   default=asy.OptimizerConfig().refine_tol)
     _add_common(p)
     p.set_defaults(fn=_cmd_var_exponent)
 
@@ -344,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--eps", type=float, nargs="+")
     what.add_argument("--poly", action="store_true",
                       help="emit the exact polynomial coefficients")
-    p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET_LOG2,
-                   help="log2 budget on words enumerated (codewords or "
-                   "row-space words, whichever is fewer)")
     _add_common(p)
     p.set_defaults(fn=_cmd_exact_pu)
 

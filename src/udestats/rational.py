@@ -32,10 +32,6 @@ class RationalPoly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls()
-
-    @classmethod
     def bernstein(cls, w: int, n: int) -> "RationalPoly":
         """eps^w (1-eps)^(n-w) expanded in the monomial basis."""
         if not 0 <= w <= n:

@@ -17,7 +17,7 @@ from udestats.ensemble import BernoulliEnsemble, Bsc, cov_weight, var_pu
 
 from references import inner_sup_grid, scaled_entropy
 
-FAST = OptimizerConfig(grid_points=2048, refine_tol=1e-10)
+FAST = OptimizerConfig(grid_points=2048)
 
 
 def test_binary_entropy_basics():
@@ -184,11 +184,12 @@ def test_cov_growth_rate_domain():
         cov_growth_rate(RatePoint(0.5), 0.5, 0.5)  # k missing
 
 
-def test_var_pu_growth_rate_bounds():
+def test_var_pu_growth_rate_bounds(monkeypatch):
+    monkeypatch.setattr(asy, "_REFINE_TOL", 1e-8)
     rp = RatePoint(0.5, 4.0)
-    cfg = OptimizerConfig(grid_points=256, refine_tol=1e-8)
+    cfg = OptimizerConfig(grid_points=256)
     eps = 0.1
-    got = var_pu_growth_rate(rp, eps, cfg.refine_tol)
+    got = var_pu_growth_rate(rp, eps)
     assert got <= 0.0
     s_diag = (2 * eps * math.log2(eps) + (2 - 2 * eps) * math.log2(1 - eps)
               + cov_growth_rate(rp, eps, eps, cfg))
@@ -261,11 +262,6 @@ def test_optimizer_config_validation():
     for points in (8, 2**21 + 1):
         with pytest.raises(ValueError):
             OptimizerConfig(grid_points=points)
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            OptimizerConfig(refine_tol=tol)
-        with pytest.raises(ValueError):
-            var_pu_growth_rate(RatePoint(0.5, 4.0), 0.1, tol)
     with pytest.raises(ValueError):
         RatePoint(1.0)
     for k in (-1.0, math.nan, math.inf, 1e308):  # 4 * 1e308 overflows
@@ -309,7 +305,7 @@ def _sup_loop(fn, lo, hi, cfg):
         if y > (ys[i - 1] if i else -math.inf) and \
                 y >= (ys[i + 1] if i + 1 < len(ys) else -math.inf):
             x = _zoom_loop(fn, xs[max(i - 1, 0)],
-                           xs[min(i + 1, len(xs) - 1)], cfg.refine_tol)
+                           xs[min(i + 1, len(xs) - 1)], asy._REFINE_TOL)
             if fn(x) > best:
                 best = fn(x)
     return best
@@ -340,7 +336,7 @@ def test_sup_rows_replays_the_loop():
     # The sparse exponent objective at several eps, on intervals that
     # include a single point (hi <= lo).
     f = growth_rate_bernoulli(0.5, 20.0)
-    cfg = OptimizerConfig(grid_points=512, refine_tol=1e-10)
+    cfg = OptimizerConfig(grid_points=512)
     for eps, lo, hi in [(0.01, 1e-4, 1.0), (0.05, 0.0, 0.5), (0.2, 0.1, 0.9),
                         (0.4, 0.3, 0.3), (0.1, 0.5, 0.4)]:
         g = exponent_objective(f, eps)
@@ -351,12 +347,13 @@ def test_sup_rows_replays_the_loop():
             _sup_loop(one, lo, hi, cfg), eps
 
 
-def test_sup_rows_refines_an_extra_bracket():
+def test_sup_rows_refines_an_extra_bracket(monkeypatch):
     # A spike narrower than the grid step, away from every grid top: only
     # the extra bracket finds it, and its refined point wins.
     def fn(x):
         return 2.0 * np.maximum(0.0, 1.0 - np.abs(x - 0.30001) * 1e6) - x
-    cfg = OptimizerConfig(grid_points=64, refine_tol=1e-12)
+    monkeypatch.setattr(asy, "_REFINE_TOL", 1e-12)
+    cfg = OptimizerConfig(grid_points=64)
     assert asy._sup_rows(fn, 0.0, 1.0, cfg) == (0.0, 0.0)
     value, x = asy._sup_rows(fn, 0.0, 1.0, cfg, [[0.3], [0.31], [1e-12]])
     assert abs(x - 0.30001) < 1e-11 and abs(value - (2.0 - 0.30001)) < 1e-5
@@ -374,7 +371,8 @@ def test_l2_one_rows_take_no_bracket(monkeypatch):
         brackets.append(len(out[2][0]))
         return out
     monkeypatch.setattr(asy, "_grid_tops", spy)
-    cfg = OptimizerConfig(grid_points=256, refine_tol=1e-9)
+    monkeypatch.setattr(asy, "_REFINE_TOL", 1e-9)
+    cfg = OptimizerConfig(grid_points=256)
     for l1 in np.arange(1, 49) / 48.0:
         cov_growth_rate(RatePoint(0.5, 4.0), float(l1), 1.0, cfg)
     assert brackets == [0] * 48
@@ -390,7 +388,8 @@ def test_a_plateau_is_one_bracket(monkeypatch):
         brackets.append(len(a))
         return zoom(fn, a, b, tol)
     monkeypatch.setattr(asy, "_zoom_refine", spy)
-    cfg = OptimizerConfig(grid_points=1 << 16, refine_tol=1e-30)
+    monkeypatch.setattr(asy, "_REFINE_TOL", 1e-30)
+    cfg = OptimizerConfig(grid_points=1 << 16)
     assert asy._sup_rows(np.ones_like, 0.0, 1.0, cfg) == (1.0, 0.0)
     assert brackets == [1]
 

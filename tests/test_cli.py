@@ -187,11 +187,6 @@ def test_domain_errors_exit_nonzero(capsys):
          "--l2", "0.5"),
         ("exponent", "--rate", "0.5", "--k", "20", "--eps", "0.1",
          "--grid-points", str(2**21 + 1)),
-        ("exponent", "--rate", "0.5", "--eps", "0.1", "--refine-tol", "nan"),
-        ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
-         "--l2", "0.5", "--refine-tol", "nan"),
-        ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
-         "--refine-tol", "nan"),
         ("oracle", "--m", "2", "--n", "20", "--k", "5"),  # 2^30.8 checks
         ("oracle", "--m", "21", "--n", "1", "--k", "1/2"),  # 2^21 classes
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
@@ -279,6 +274,25 @@ def test_exact_pu_bad_file(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+def test_exact_pu_refuses_over_the_budget(capsys, tmp_path, monkeypatch):
+    # Rows e_i + e_(29+i): rank 29 of n = 58, so the code and the row space
+    # both hold 2^29 words, over the budget of 2^28.
+    rows = ["0" * i + "1" + "0" * 28 + "1" + "0" * (28 - i)
+            for i in range(29)]
+    path = tmp_path / "h.txt"
+    path.write_text("29 58\n" + "\n".join(rows) + "\n")
+
+    def enumerated(*args):
+        raise AssertionError("enumerated over the budget")
+    monkeypatch.setattr(gf2, "_weight_histogram", enumerated)
+    for what in (("--eps", "0.1"), ("--poly",)):
+        code, out, err = run_cli(capsys, "exact-pu", "--matrix", str(path),
+                                 *what)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2^28" in err
+
+
 def test_sim_determinism(capsys):
     args = ("sim", "--m", "3", "--n", "6", "--k", "1.5", "--eps", "0.1",
             "--samples", "100", "--seed", "4")
@@ -311,12 +325,26 @@ def test_sim_has_no_workers_option(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_var_exponent_has_no_grid_points_option(capsys):
+_VAR_EXPONENT = ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("exponent", "--rate", "0.5", "--eps", "0.1"), "--refine-tol"),
+    (("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5", "--l2",
+      "0.5"), "--refine-tol"),
+    (_VAR_EXPONENT, "--refine-tol"),
+    (_VAR_EXPONENT, "--grid-points"),
+    (("exact-pu", "--matrix", "h.txt", "--eps", "0.1"), "--enum-budget"),
+], ids=["exponent-refine-tol", "cov-exponent-refine-tol",
+        "var-exponent-refine-tol", "var-exponent-grid-points",
+        "exact-pu-enum-budget"])
+def test_fixed_limits_are_not_options(capsys, argv, named):
+    # The zoom width, the grid of var-exponent and the enumeration budget
+    # are fixed: each such option is a usage error.
     with pytest.raises(SystemExit) as exc:
-        main(["var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1",
-              "--grid-points", "64"])
+        main([*argv, named, "64"])
     assert exc.value.code == 2
-    assert "--grid-points" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -486,10 +514,4 @@ def test_parser_defaults_are_the_library_defaults():
     for argv in [("exponent", "--rate", "0.5", "--eps", "0.1"),
                  ("cov-exponent", "--rate", "0.5", "--k", "4", "--l1", "0.5",
                   "--l2", "0.5")]:
-        args = defaults(*argv)
-        assert (args["grid_points"], args["refine_tol"]) == (
-            cfg.grid_points, cfg.refine_tol)
-    assert defaults("var-exponent", "--rate", "0.5", "--k", "4", "--eps",
-                    "0.1")["refine_tol"] == cfg.refine_tol
-    assert defaults("exact-pu", "--matrix", "h.txt", "--eps", "0.1")[
-        "enum_budget"] == gf2.DEFAULT_ENUM_BUDGET_LOG2
+        assert defaults(*argv)["grid_points"] == cfg.grid_points

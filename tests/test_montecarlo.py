@@ -162,10 +162,10 @@ def test_channel_estimator_known_matrices():
     rep = estimate_pu_channel(h, 0.1, 1_000_000, rng)
     assert abs(rep["estimate"] - 0.01) <= 4 * rep["se"]
     # full-rank square matrix detects every error
-    eye = BitMatrix.identity(5)
+    eye = BitMatrix(5, 5, tuple(1 << i for i in range(5)))
     assert estimate_pu_channel(eye, 0.2, 10_000, rng)["estimate"] == 0.0
     # zero matrix detects nothing
-    zero = BitMatrix.zero(2, 4)
+    zero = BitMatrix(2, 4, (0, 0))
     rep = estimate_pu_channel(zero, 0.2, 200_000, rng)
     expect = 1 - 0.8 ** 4
     assert rep["ci_low"] <= expect <= rep["ci_high"]
@@ -235,8 +235,8 @@ def test_channel_interval_on_zero_hits():
     # no trial goes undetected through a full-rank square matrix; the
     # Wilson upper end is then z^2 / (T + z^2), not 0
     trials = 10_000
-    rep = estimate_pu_channel(BitMatrix.identity(5), 0.2, trials,
-                              worker_rng(8, 0))
+    eye = BitMatrix(5, 5, tuple(1 << i for i in range(5)))
+    rep = estimate_pu_channel(eye, 0.2, trials, worker_rng(8, 0))
     assert rep["estimate"] == 0.0
     assert rep["ci_low"] == 0.0 and rep["ci_high"] > 0.0
     assert math.isclose(rep["ci_high"], CI_Z ** 2 / (trials + CI_Z ** 2),
@@ -259,7 +259,7 @@ def test_channel_mode_debiasing():
 
 def test_channel_estimator_validation():
     with pytest.raises(ValueError):
-        estimate_pu_channel(BitMatrix.identity(2), 0.1, 0, worker_rng(0, 0))
+        estimate_pu_channel(BitMatrix(2, 2, (1, 2)), 0.1, 0, worker_rng(0, 0))
 
 
 def test_channel_mode_replays_one_stream():

@@ -28,16 +28,16 @@ def _naive_product(a, b):
 
 
 def _naive_weight_poly(counts, n):
-    acc = RationalPoly.zero()
+    acc = RationalPoly()
     for w in range(1, n + 1):
         acc = acc + RationalPoly.bernstein(w, n) * counts[w]
     return acc
 
 
 def test_zero_and_trim():
-    assert RationalPoly.zero().degree == -1
+    assert RationalPoly().degree == -1
     assert RationalPoly([1, 2, 0, 0]).degree == 1
-    assert RationalPoly([0]) == RationalPoly.zero()
+    assert RationalPoly([0]) == RationalPoly()
 
 
 @given(st.integers(0, 10), st.integers(0, 10))
@@ -53,7 +53,7 @@ def test_bernstein_evaluation(n, w):
 
 def test_bernstein_partition_of_unity():
     n = 9
-    total = RationalPoly.zero()
+    total = RationalPoly()
     for w in range(n + 1):
         total = total + RationalPoly.bernstein(w, n) * math.comb(n, w)
     assert total == RationalPoly([1])
@@ -105,4 +105,4 @@ def test_pretty():
     p = RationalPoly([0, 0, Fraction(3, 8), Fraction(-3, 8), Fraction(15, 64)])
     s = p.pretty()
     assert "3/8*eps^2" in s and "- 3/8*eps^3" in s and "15/64*eps^4" in s
-    assert RationalPoly.zero().pretty() == "0"
+    assert RationalPoly().pretty() == "0"
