@@ -8,13 +8,16 @@ Fraction.  This is the adjudicator for the closed-form module (and for
 the two typos in the published worked example: the mean's eps
 coefficient and the second moment's eps^3 coefficient).
 
-A matrix's weight distribution depends only on the multiset of its
-columns, and so does its probability, so the oracle checks one matrix
-per multiset, C(2^m + n - 1, n) of them, and counts each as many times
-as it occurs among the 2^(mn) matrices.  Its codewords come from a direct
-parity check of all 2^n words, an independent route from gf2's
-enumeration of the code or of the row space (with the MacWilliams
-transform) — the two are cross-checked in the test suite.
+A matrix's weight distribution and its probability depend only on the
+multiset of its columns, and also only on the multiset of its rows.  So
+the oracle checks one matrix per multiset of the side with fewer of
+them, C(2^m + n - 1, n) column or C(2^n + m - 1, m) row multisets, and
+counts each as many times as it occurs among the 2^(mn) matrices.  Its
+weight distribution comes from the fewer words: a parity check of all
+2^n words, or the 2^m words of its row space and the MacWilliams
+transform, over a Krawtchouk table built here from math.comb.  Neither
+route uses gf2's enumeration of the code or of the row space, and the
+two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .logreal import LogReal
 from .rational import RationalPoly, poly_from_weight_counts
 
 # Enumeration budget, checked from (m, n) before anything is allocated,
-# and the number of (multiset, word) parity checks made per block.
+# and the bound on the words checked, or count pairs formed, per block.
 _LOG2_MAX_CLASSES = 20
-_LOG2_MAX_CELLS = 26
-_BLOCK_CELLS = 1 << 20
+_BLOCK_CELLS = 1 << 18
 # The crossover probabilities at which verify_closed_forms checks P_U,
 # and the relative error within which a check passes.
 _EPS_POINTS = (Fraction(1, 10), Fraction(3, 10))
@@ -73,20 +75,100 @@ class EnsembleMoments:
 def _column_classes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every multiset of n columns over [0, 2^m), as the nondecreasing rows
     of a (classes, n) array, and the number of matrices with each one,
-    n! / prod(run length)!, updated as each column is appended."""
+    n! / prod(run length)!, updated as each column is appended.  The
+    update mult * j / run divides first, so no intermediate exceeds the
+    result: mult * j can pass 2^63 where the result does not (C(63, 31)
+    * 64 for the rows of 64x1)."""
     q = 1 << m
-    cols = np.arange(q, dtype=np.min_scalar_type(q - 1))[:, None]
+    last = np.arange(q)
     mult = run = np.ones(q, dtype=np.int64)
-    for j in range(1, n):
-        last = cols[:, -1].astype(np.int64)
+    steps = []
+    for j in range(2, n + 1):
         reps = q - last
-        src = np.repeat(np.arange(len(cols)), reps)
+        src = np.arange(len(last)).repeat(reps)
         # Row r's copies take last[r], ..., q - 1.
-        nxt = np.arange(len(src)) - np.repeat(np.cumsum(reps) - q, reps)
+        nxt = np.arange(len(src)) - (reps.cumsum() - q)[src]
         run = np.where(nxt == last[src], run[src] + 1, 1)
-        mult = mult[src] * (j + 1) // run
-        cols = np.column_stack((cols[src], nxt.astype(cols.dtype)))
+        mult, rem = np.divmod(mult[src], run)
+        mult *= j
+        rem *= j
+        mult += rem // run
+        steps.append((src, last))
+        last = nxt
+    # Each class's earlier columns, back through the classes it grew from.
+    cols = np.empty((len(last), n), dtype=np.min_scalar_type(q - 1))
+    cols[:, -1] = last
+    grown = slice(None)
+    for j in range(n - 2, -1, -1):
+        src, prev = steps[j]
+        grown = src[grown]
+        cols[:, j] = prev[grown]
     return cols, mult
+
+
+def _multisets(bits: int, k: int) -> int:
+    """The number of multisets of k values of `bits` bits."""
+    return math.comb((1 << bits) + k - 1, k)
+
+
+def _plan(m: int, n: int) -> tuple[bool, bool]:
+    """(by_rows, row_space): the enumeration with the fewest cells,
+    classes times words checked per class.  The two factors are chosen
+    apart: row multisets if there are fewer of them than column
+    multisets, and each checked by its 2^m row-space words if 2^m < 2^n,
+    else by a parity check of all 2^n words."""
+    return _multisets(n, m) < _multisets(m, n), m < n
+
+
+def _transpose(v: np.ndarray, bits: int) -> np.ndarray:
+    """Bit transpose of each class, a column of `v`, a (k, classes) array
+    of `bits`-bit values: out[i] has bit j set where v[j] has bit i, so
+    the columns of a matrix become its rows and its rows its columns."""
+    k = len(v)
+    dtype = np.min_scalar_type((1 << k) - 1)
+    bit = (v >> np.arange(bits, dtype=v.dtype)[:, None, None]) & 1
+    return (bit.astype(dtype) << np.arange(k, dtype=dtype)[:, None]).sum(
+        axis=1, dtype=dtype)
+
+
+def _xor_span(v: np.ndarray) -> np.ndarray:
+    """The XOR of every subset of each class's k values, v[:, c], subset x
+    in row x, by doubling: word x + 2^i is word x XOR v[i]."""
+    k, b = v.shape
+    out = np.zeros((1 << k, b), dtype=v.dtype)
+    for i in range(k):
+        np.bitwise_xor(out[:1 << i], v[i], out=out[1 << i:2 << i])
+    return out
+
+
+def _krawtchouk(n: int) -> np.ndarray:
+    """K[w, j] = K_w(j; n), the coefficient of z^w in
+    (1 - z)^j (1 + z)^(n - j), exactly in int64."""
+    c = np.array([[math.comb(a, b) for b in range(n + 1)]
+                  for a in range(n + 1)], dtype=np.int64)
+    signed = c * (-1) ** np.arange(n + 1)
+    return np.array([np.convolve(signed[j], c[n - j])[:n + 1]
+                     for j in range(n + 1)]).T
+
+
+def _parity_counts(cols: np.ndarray, by_wt: list) -> np.ndarray:
+    """A_w of each class: the words x of weight w, by_wt[w], whose
+    syndrome, the XOR of the columns x selects, is zero."""
+    zero = _xor_span(cols) == 0
+    return np.array([zero[sel].sum(axis=0) for sel in by_wt])
+
+
+def _row_space_counts(rows: np.ndarray, kraw: np.ndarray) -> np.ndarray:
+    """A_w of each class from its 2^m row-space words xH.  With B'_j of
+    them of weight j, MacWilliams gives 2^m A_w = sum_j B'_j K_w(j; n)."""
+    m, b = rows.shape
+    idx = np.bitwise_count(_xor_span(rows)).astype(np.intp) * b
+    idx += np.arange(b)
+    b_prime = np.bincount(idx.ravel(), minlength=len(kraw) * b)
+    scaled = kraw @ b_prime.reshape(-1, b)
+    if (scaled & ((1 << m) - 1)).any():
+        raise ArithmeticError("MacWilliams transform left a remainder")
+    return scaled >> m
 
 
 # udebench/oraclewl.py's _cold clears this cache by name, through
@@ -100,52 +182,69 @@ def _weight_class_sums(m: int, n: int) -> np.ndarray:
     k-independent, so cached across ensembles of the same shape.  A_0 = 1,
     so s2[:, 0] holds the sums of A_w.
 
-    Each column multiset is checked once and counted with its
-    multiplicity.  The syndromes of all 2^n words come by doubling: the
-    word x + 2^i has the syndrome of x XOR column i.
+    A matrix's code and its ones count depend only on the multiset of its
+    columns, and also only on the multiset of its rows.  Each multiset of
+    the side _plan picks is checked once and counted with its
+    multiplicity, by the parity check of all 2^n words (their syndromes
+    span the columns) or by the 2^m words of the row space (which span
+    the rows).  Classes run in order of ones count, so each block adds
+    its outer products A A^T to s2 in one reduceat.
     """
     key = (m, n)
     if key not in _class_sums_cache:
-        cols, mult = _column_classes(m, n)
-        ones = np.bitwise_count(cols).sum(axis=1)
-        wt_x = np.bitwise_count(np.arange(1 << n))
-        by_wt = np.argsort(wt_x, kind="stable")
-        starts = np.searchsorted(wt_x[by_wt], np.arange(n + 1))
+        by_rows, row_space = _plan(m, n)
+        classes, mult = (_column_classes(n, m) if by_rows
+                         else _column_classes(m, n))
+        ones = np.bitwise_count(classes).sum(axis=1, dtype=np.intp)
+        order = np.argsort(ones, kind="stable")
+        # One class per column from here, so each numpy call runs along
+        # the classes.
+        classes, mult, ones = classes[order].T, mult[order], ones[order]
+        if row_space:
+            kraw = _krawtchouk(n)
+        else:
+            wt_x = np.bitwise_count(np.arange(1 << n))
+            by_wt = [wt_x == w for w in range(n + 1)]
         s2 = np.zeros((m * n + 1, n + 1, n + 1), dtype=np.int64)
-        block = max(1, _BLOCK_CELLS >> n)
-        for lo in range(0, len(cols), block):
-            c = cols[lo:lo + block]
-            syn = np.zeros((len(c), 1 << n), dtype=cols.dtype)
-            for i in range(n):
-                np.bitwise_xor(syn[:, :1 << i], c[:, i:i + 1],
-                               out=syn[:, 1 << i:2 << i])
-            counts = np.add.reduceat((syn == 0)[:, by_wt], starts, axis=1,
-                                     dtype=np.int64)
-            weighted = counts * mult[lo:lo + block, None]
+        cells = max(1 << (m if row_space else n), (n + 1) ** 2)
+        block = max(1, _BLOCK_CELLS // cells)
+        for lo in range(0, len(ones), block):
+            vecs = classes[:, lo:lo + block]
+            if by_rows != row_space:
+                vecs = _transpose(vecs, n if by_rows else m)
+            counts = (_row_space_counts(vecs, kraw) if row_space
+                      else _parity_counts(vecs, by_wt))
+            # The first class of each ones count in the block.
             t = ones[lo:lo + block]
-            for wt_h in np.unique(t):
-                sel = t == wt_h
-                s2[wt_h] += weighted[sel].T @ counts[sel]
+            first = np.empty(len(t), dtype=bool)
+            first[0] = True
+            np.not_equal(t[1:], t[:-1], out=first[1:])
+            first = first.nonzero()[0]
+            weighted = counts * mult[lo:lo + block]
+            s2[t[first]] += np.add.reduceat(
+                weighted[:, None] * counts, first, axis=2).transpose(2, 0, 1)
         _class_sums_cache[key] = s2
     return _class_sums_cache[key]
 
 
 def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     """Exact moments over all 2^(m n) matrices.  A shape over the budget
-    is refused before anything is allocated, and so is one whose int64
-    sums could overflow: C(mn, t) matrices with t ones times
-    C(n, w1) C(n, w2) codeword pairs bounds every sum."""
-    # 2^m bounds the class count from below, and 2^n the cells per class.
-    small = m <= _LOG2_MAX_CLASSES and n <= _LOG2_MAX_CELLS
-    classes = math.comb((1 << m) + n - 1, n) if small else 0
+    is refused before anything is allocated: one whose rows or columns
+    do not fit a 64-bit word, one whose int64 sums could overflow
+    (C(mn, t) matrices with t ones times C(n, w1) C(n, w2) codeword pairs
+    bounds every sum), and one with more than 2^_LOG2_MAX_CLASSES
+    multisets on either side.  That also bounds the words checked per
+    multiset, 2^min(m, n), by 2^6: m, n >= 7 has over 2^36 multisets
+    either way."""
     mn = m * n
-    if (not small or classes > 1 << _LOG2_MAX_CLASSES
-            or classes << n > 1 << _LOG2_MAX_CELLS
-            or math.comb(mn, mn // 2) * math.comb(n, n // 2) ** 2 >= 1 << 63):
+    if (max(m, n) > 64
+            or math.comb(mn, mn // 2) * math.comb(n, n // 2) ** 2 >= 1 << 63
+            or min(_multisets(m, n), _multisets(n, m))
+            > 1 << _LOG2_MAX_CLASSES):
         raise GuardExceededError(
             f"the {m}x{n} ensemble is over the oracle's budget of "
-            f"2^{_LOG2_MAX_CLASSES} column multisets, 2^{_LOG2_MAX_CELLS} "
-            "multiset-word parity checks and sums that fit in int64")
+            f"2^{_LOG2_MAX_CLASSES} row or column multisets, rows and "
+            "columns of at most 64 bits and sums that fit in int64")
     k = _check_k(n, Fraction(k))
     a, b = (k / n).as_integer_ratio()
     s2 = _weight_class_sums(m, n)

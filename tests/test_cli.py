@@ -187,8 +187,8 @@ def test_domain_errors_exit_nonzero(capsys):
          "--l2", "0.5"),
         ("exponent", "--rate", "0.5", "--k", "20", "--eps", "0.1",
          "--grid-points", str(2**21 + 1)),
-        ("oracle", "--m", "2", "--n", "20", "--k", "5"),  # 2^30.8 checks
-        ("oracle", "--m", "21", "--n", "1", "--k", "1/2"),  # 2^21 classes
+        ("oracle", "--m", "2", "--n", "20", "--k", "5"),  # int64 sums
+        ("oracle", "--m", "5", "--n", "6", "--k", "1"),  # 2^21.1 classes
         ("cov", "--m", "2", "--n", "4", "--k", "1", "--w1", "1"),
     ]
     sim = ("sim", "--m", "2", "--n", "4", "--k", "1", "--eps", "0.1",

@@ -11,7 +11,7 @@ import pytest
 import udestats.oracle as oracle
 from udestats.gf2 import BitVector
 from udestats.oracle import (EnsembleMoments, GuardExceededError,
-                             _class_sums_cache, _column_classes,
+                             _class_sums_cache, _column_classes, _plan,
                              _weight_class_sums, brute_force_joint_pass,
                              enumerate_ensemble, joint_pass_prob_exact,
                              verify_closed_forms)
@@ -152,30 +152,72 @@ def _reference_class_sums(m, n):
 
 SMALL_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17)
                 if m * n <= 16]
+# The four enumerations, (by_rows, row_space): column or row multisets,
+# each checked by a parity check of all 2^n words or by its 2^m row-space
+# words.
+PLANS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 @pytest.mark.parametrize("m, n", SMALL_SHAPES)
 def test_class_sums_match_per_matrix_reference(m, n, monkeypatch):
     # Small blocks, so most shapes span several, the last one partial.
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", 1 << 10)
-    _class_sums_cache.pop((m, n), None)
-    s2 = _weight_class_sums(m, n)
     r1, r2 = _reference_class_sums(m, n)
-    assert s2.dtype == np.int64
-    assert np.array_equal(s2[:, 0], r1) and np.array_equal(s2, r2)
+    # Each enumeration forced, where it checks at most 2^22 words: that
+    # leaves out 1x12 to 1x16 and 2x8 by rows and parity checks, and
+    # 12x1 to 16x1 and 8x2 by columns and row spaces.
+    for by_rows, row_space in PLANS:
+        bits, k = (n, m) if by_rows else (m, n)
+        if oracle._multisets(bits, k) << (m if row_space else n) > 1 << 22:
+            continue
+        monkeypatch.setattr(oracle, "_plan",
+                            lambda m, n: (by_rows, row_space))
+        monkeypatch.setattr(oracle, "_class_sums_cache", {})
+        s2 = _weight_class_sums(m, n)
+        assert s2.dtype == np.int64
+        assert np.array_equal(s2[:, 0], r1), (by_rows, row_space)
+        assert np.array_equal(s2, r2), (by_rows, row_space)
 
 
-@pytest.mark.parametrize("m, n", [(3, 8), (2, 16), (5, 5)])
+def test_row_space_remainder_is_checked(monkeypatch):
+    # K_0(0; n) off by one leaves 2^m A_0 + B'_0, and B'_0 = 1 for a full
+    # rank matrix: an ArithmeticError, under python -O too.
+    kraw = oracle._krawtchouk
+
+    def off_by_one(n):
+        k = kraw(n)
+        k[0, 0] += 1
+        return k
+
+    monkeypatch.setattr(oracle, "_krawtchouk", off_by_one)
+    monkeypatch.setattr(oracle, "_class_sums_cache", {})
+    assert _plan(2, 4) == (False, True)
+    with pytest.raises(ArithmeticError):
+        _weight_class_sums(2, 4)
+
+
+# 64x1 and 32x2 are the tallest shapes the int64 guard lets through with
+# one and two columns; at 64x1, C(63, 31) * 64 > 2^63.
+@pytest.mark.parametrize("m, n", [(3, 8), (2, 16), (5, 5), (6, 4), (64, 1),
+                                  (32, 2)])
 def test_multiplicities_count_every_matrix(m, n):
-    cols, mult = _column_classes(m, n)
-    assert len(cols) == math.comb((1 << m) + n - 1, n)
-    assert (np.diff(cols.astype(np.int64), axis=1) >= 0).all()
-    assert int(mult.sum()) == 1 << (m * n)
+    by_rows, _ = _plan(m, n)
+    assert by_rows == (m > n)
+    bits, k = (n, m) if by_rows else (m, n)
+    classes, mult = _column_classes(bits, k)
+    assert len(classes) == math.comb((1 << bits) + k - 1, k)
+    assert (np.diff(classes.astype(np.int64), axis=1) >= 0).all()
+    assert sum(map(int, mult)) == 1 << (m * n)
+    _class_sums_cache.pop((m, n), None)
     s2 = _weight_class_sums(m, n)
     # A_0 = 1: row t counts the C(mn, t) matrices with t ones, and the
     # rows sum to 2^(mn)
     assert [int(v) for v in s2[:, 0, 0]] == [math.comb(m * n, t)
                                              for t in range(m * n + 1)]
+    # At p = 1/2 every matrix is equally likely: E[A_w] = C(n, w) / 2^m.
+    mom = enumerate_ensemble(m, n, Fraction(n, 2))
+    assert mom.e_aw == (1,) + tuple(Fraction(math.comb(n, w), 2 ** m)
+                                    for w in range(1, n + 1))
 
 
 def test_brute_force_joint_pass_identities():
@@ -240,26 +282,23 @@ def test_verify_small_cases():
 
 
 def test_guards(monkeypatch):
-    # cells and int64; 2^21 > 2^20 classes; classes alone (C(2049, 2))
-    for m, n in [(2, 20), (21, 1), (11, 2)]:
+    # Each is refused before it enumerates: 2x20 (1,771 column multisets)
+    # and 33x2 by the int64 bound alone, 5x6 by its 2^21.1 column and
+    # 2^23.3 row multisets, 65x1 by its 65-bit column.
+    monkeypatch.setattr(oracle, "_column_classes", None)
+    for m, n, k in [(2, 20, 1), (33, 2, 1), (5, 6, 1), (65, 1, 0.5)]:
         with pytest.raises(GuardExceededError):
-            enumerate_ensemble(m, n, 1)
+            enumerate_ensemble(m, n, k)
     with pytest.raises(GuardExceededError):
         brute_force_joint_pass(1, 21, 5, BitVector(21, 1), BitVector(21, 3))
     with pytest.raises(ValueError):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
-    # No shape within the other two caps reaches the int64 bound; with a
-    # wider cell cap 2x20 would, and it must be refused before enumerating.
-    monkeypatch.setattr(oracle, "_LOG2_MAX_CELLS", 40)
-    monkeypatch.setattr(oracle, "_column_classes", None)
-    with pytest.raises(GuardExceededError):
-        enumerate_ensemble(2, 20, 5)
 
 
 def test_memory_limit_refuses_before_allocating():
     tracemalloc.start()
     try:
-        for m, n in [(2, 20), (21, 1), (3, 12), (10 ** 9, 10 ** 9)]:
+        for m, n in [(2, 20), (5, 6), (65, 1), (10 ** 9, 10 ** 9)]:
             with pytest.raises(GuardExceededError):
                 enumerate_ensemble(m, n, 1)
         _, peak = tracemalloc.get_traced_memory()
@@ -268,7 +307,7 @@ def test_memory_limit_refuses_before_allocating():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("m, n", [(4, 5), (2, 16)])
+@pytest.mark.parametrize("m, n", [(4, 5), (2, 16), (1, 20), (16, 1), (3, 12)])
 def test_class_sums_memory_is_bounded(m, n):
     _class_sums_cache.pop((m, n), None)
     tracemalloc.start()
@@ -280,7 +319,8 @@ def test_class_sums_memory_is_bounded(m, n):
     assert peak < 16 << 20, peak
 
 
-@pytest.mark.parametrize("m, n", [(3, 8), (4, 6), (2, 16), (5, 5)])
+@pytest.mark.parametrize("m, n", [(3, 8), (4, 6), (2, 16), (5, 5), (20, 1),
+                                  (11, 2), (1, 22), (3, 12)])
 def test_verify_beyond_small_shapes(m, n):
     for k in (Fraction(n, 4), Fraction(n, 2)):
         rep = verify_closed_forms(m, n, k)
