@@ -15,7 +15,10 @@ The covariances come from one numpy kernel, `_cov_kernel`, over flat
 (w1, w2, v) triples with w1 <= w2, in blocks of whole pairs of at most
 2^13 triples (64 KB per temporary, whatever n), with the log-sum-exp of
 each pair done by `reduceat`.  `cov_weight` is the kernel on one pair
-and `cov_matrix` on all of them, so the two agree bit for bit.
+and `cov_matrix` on all of them, so the two agree bit for bit.  The
+second moments E[A_w1 A_w2] come the same way from
+`_second_moment_kernel`, one row of n + 1 overlaps per pair, and
+`second_moment_weight` is it on one pair.
 log2 C(a, j) comes from exact integers, one row per a, cached in a
 bounded LRU (512 rows).
 
@@ -172,18 +175,18 @@ def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal
 
 
 def second_moment_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
-    """E[A_w1 A_w2] as the overlap sum of joint-pass probabilities."""
+    """E[A_w1 A_w2] as the overlap sum of joint-pass probabilities.
+
+    This is `_second_moment_kernel` on the one pair, so the value is bit
+    for bit the one the kernel gives for the pair among any others.
+    """
     n = ens.n
     if not (1 <= w1 <= n and 1 <= w2 <= n):
         raise ValueError("weights out of range")
     if w1 > w2:
         w1, w2 = w2, w1
-    row_v, row_rest = _log2_binom_row(w1), _log2_binom_row(n - w1)
-    terms = []
-    for v in range(max(0, w1 + w2 - n), w1 + 1):
-        count = _log2_binom_row(n)[w1] + row_v[v] + row_rest[w2 - v]
-        terms.append(count + joint_pass_prob(ens, w1, w2, v).log2)
-    return LogReal(log2_sum(terms))
+    return LogReal(float(
+        _second_moment_kernel(ens, np.array([w1]), np.array([w2]))[0]))
 
 
 # Rows are cached one by one, like gf2's Krawtchouk columns: a matrix at
@@ -198,6 +201,19 @@ def _log2_binom_row(a: int) -> np.ndarray:
     row = np.array(half + half[(a + 1) // 2 - 1::-1] if a else half)
     row.setflags(write=False)
     return row
+
+
+def _log2_binom_table(n: int, w1: np.ndarray) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """(table, offset) with log2 C(a, j) = table[offset[a] + j] for the
+    rows a an overlap sum over pairs (w1, w2) reads: n, each w1 and each
+    n - w1."""
+    used = np.zeros(n + 1, dtype=bool)
+    used[n] = used[w1] = used[n - w1] = True
+    rows = np.flatnonzero(used)
+    offset = np.zeros(n + 1, dtype=np.int64)
+    offset[rows] = np.cumsum(rows + 1) - (rows + 1)
+    return np.concatenate([_log2_binom_row(int(a)) for a in rows]), offset
 
 
 def _log2_sum_segments(terms: np.ndarray, starts: np.ndarray,
@@ -230,13 +246,7 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     zpow = np.exp(lz)
     one_minus = -np.expm1(lz[::2])      # 1 - z^(2v) for v = 0..n
     half = _log2_halves(lz[:n + 1])
-    # log2 C(a, j) = table[offset[a] + j] for the rows a the pairs use.
-    used = np.zeros(n + 1, dtype=bool)
-    used[n] = used[w1] = used[n - w1] = True
-    rows = np.flatnonzero(used)
-    offset = np.zeros(n + 1, dtype=np.int64)
-    offset[rows] = np.cumsum(rows + 1) - (rows + 1)
-    table = np.concatenate([_log2_binom_row(int(a)) for a in rows])
+    table, offset = _log2_binom_table(n, w1)
     # Triples of pair i end at ends[i]; v runs from max(1, w1+w2-n) to w1.
     ends = np.cumsum(w1 - np.maximum(1, w1 + w2 - n) + 1)
     out = np.empty(len(w1))
@@ -277,6 +287,41 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
         out[lo:hi] = (m * (half[p1] + half[p2])
                       + _log2_sum_segments(terms, starts, cnt))
         lo = hi
+    return out
+
+
+def _second_moment_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
+                          w2: np.ndarray) -> np.ndarray:
+    """log2 E[A_w1 A_w2] for pairs 1 <= w1 <= w2: the sum over overlaps v
+    from v_lo = max(0, w1 + w2 - n) to w1 of C(n, w1) C(w1, v)
+    C(n - w1, w2 - v) times the joint-pass probability
+    ((1 + z^w1 + z^w2 + z^(w1+w2-2v))/4)^m.
+
+    Each pair is one row of n + 1 overlaps v_lo + j, j = 0..n, the ones
+    past w1 being exact zeros, so a pair's row and its sum are the same
+    whichever pairs share the call.  Rows go in blocks of at most
+    _BLOCK_TRIPLES entries, or one row where n + 1 is more: memory is
+    O(n) for one pair at any n.
+    """
+    n, m = ens.n, ens.m
+    zpow = np.exp(_log_zpowers(ens, 2 * n))     # z^e, z^0 = 1 also at z = 0
+    table, offset = _log2_binom_table(n, w1)
+    j = np.arange(n + 1)
+    step = max(1, _BLOCK_TRIPLES // (n + 1))
+    out = np.empty(len(w1))
+    for lo in range(0, len(w1), step):
+        a, b = w1[lo:lo + step, None], w2[lo:lo + step, None]
+        v = np.maximum(0, a + b - n) + j
+        past = v > a
+        np.minimum(v, a, out=v)
+        joint = m * (np.log1p(zpow[a] + zpow[b] + zpow[a + b - 2 * v])
+                     / _LN2 - 2.0)
+        terms = (table[offset[n] + a] + table[offset[a] + v]
+                 + table[offset[n - a] + b - v] + joint)
+        terms[past] = -np.inf
+        out[lo:lo + len(a)] = _log2_sum_segments(
+            terms.ravel(), np.arange(0, terms.size, n + 1),
+            np.full(len(a), n + 1))
     return out
 
 

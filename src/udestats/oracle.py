@@ -2,11 +2,15 @@
 
 Every matrix in a small Bernoulli ensemble counts with its exact
 probability, a^t (b-a)^(mn-t) / b^mn at t ones for p = k/n = a/b in
-lowest terms.  Moments are integer numerators over b^mn, and each output
-value (moment, covariance or polynomial coefficient) is one exact
-Fraction.  This is the adjudicator for the closed-form module (and for
-the two typos in the published worked example: the mean's eps
-coefficient and the second moment's eps^3 coefficient).
+lowest terms.  Moments are integer numerators over b^mn, one table of
+them per ensemble, and each output value (moment, covariance or
+polynomial coefficient) of `enumerate_ensemble` is one exact Fraction.
+`verify_closed_forms` reads the same table directly: each value it
+prints is one integer ratio reduced once, P_U's moments included, next
+to one analytic array per closed form.  This is the adjudicator for the
+closed-form module (and for the two typos in the published worked
+example: the mean's eps coefficient and the second moment's eps^3
+coefficient).
 
 A matrix's weight distribution and its probability depend only on the
 multiset of its columns, and also only on the multiset of its rows.  So
@@ -227,8 +231,10 @@ def _weight_class_sums(m: int, n: int) -> np.ndarray:
     return _class_sums_cache[key]
 
 
-def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
-    """Exact moments over all 2^(m n) matrices.  A shape over the budget
+def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray, int]:
+    """(k, n2, den): the moments E[A_w1 A_w2] as the exact integers
+    n2[w1, w2] (an object array) over den = b^mn, for p = k/n = a/b in
+    lowest terms; row 0 is E[A_w]'s, as A_0 = 1.  A shape over the budget
     is refused before anything is allocated: one whose rows or columns
     do not fit a 64-bit word, one whose int64 sums could overflow
     (C(mn, t) matrices with t ones times C(n, w1) C(n, w2) codeword pairs
@@ -248,12 +254,16 @@ def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     k = _check_k(n, Fraction(k))
     a, b = (k / n).as_integer_ratio()
     s2 = _weight_class_sums(m, n)
-
-    # Numerators over den = b^mn; row 0 is E[A_w]'s, as A_0 = 1.
-    den = b ** mn
     weights = np.array([a ** wt * (b - a) ** (mn - wt)
                         for wt in range(mn + 1)], dtype=object)
     n2 = (weights @ s2.reshape(mn + 1, -1).astype(object)).reshape(n + 1, -1)
+    return k, n2, b ** mn
+
+
+def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
+    """Exact moments over all 2^(m n) matrices, from the numerators of
+    `_numerators` (which refuses a shape over the oracle's budget)."""
+    k, n2, den = _numerators(m, n, k)
     cov_n = n2 * den - np.multiply.outer(n2[0], n2[0])
     e_aw = [Fraction(v, den) for v in n2[0]]
     e_awaw = [[Fraction(v, den) for v in row] for row in n2]
@@ -269,8 +279,10 @@ def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     var_pu = e_pu2 - e_pu * e_pu
 
     matrix_probs = None
+    mn, p = m * n, k / n
     if (1 << mn) <= 4096:
-        probs = np.array([Fraction(v, den) for v in weights], dtype=object)
+        probs = np.array([p ** wt * (1 - p) ** (mn - wt)
+                          for wt in range(mn + 1)], dtype=object)
         matrix_probs = tuple(probs[np.bitwise_count(np.arange(1 << mn))])
 
     return EnsembleMoments(
@@ -326,12 +338,9 @@ _PUBLISHED_EXAMPLE = {
 }
 
 
-def _rel_err(oracle_value: Fraction, analytic_value: float) -> float:
-    o = float(oracle_value)
-    a = analytic_value
-    if o == a:
-        return 0.0
-    return abs(o - a) / max(abs(o), abs(a))
+def _to_floats(log2_values: np.ndarray) -> list:
+    """Linear-domain floats of log2 values, as LogReal.to_float gives them."""
+    return [LogReal(v).to_float() for v in log2_values.tolist()]
 
 
 def verify_closed_forms(m: int, n: int, k) -> dict:
@@ -339,52 +348,71 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     module on every overlapping quantity; a check passes within a relative
     error of _REL_TOL.
 
+    Each oracle value is one ratio of `_numerators`' integers, reduced
+    once; its float is the int / int true division, correctly rounded as
+    float(Fraction) is.  E[P_U] and Var[P_U] at eps = p/q are integer
+    sums of the numerators times p^w (q - p)^(n - w).  The analytic side
+    is one array per closed form.
+
     Mismatches are report content, not exceptions.  The report also
     prints published-example coefficients next to the enumerated ones for
     the (1, 2, 1/2) case, flagging the known discrepancies.
     """
-    k = _check_k(n, Fraction(k))
-    moments = enumerate_ensemble(m, n, k)
+    k, n2, den = _numerators(m, n, _check_k(n, Fraction(k)))
     analytic = BernoulliEnsemble(m, n, float(k))
     checks = []
 
-    def add(name, oracle_value, analytic_value, paper_value=None):
-        err = _rel_err(oracle_value, analytic_value)
+    def add(name, num, denom, analytic_value, paper_value=None):
+        g = math.gcd(num, denom)
+        num, denom = num // g, denom // g
+        o, a = num / denom, analytic_value
+        err = 0.0 if o == a else abs(o - a) / max(abs(o), abs(a))
         entry = {
             "name": name,
-            "oracle_value": str(oracle_value),
+            "oracle_value": str(num) if denom == 1 else f"{num}/{denom}",
             "analytic_value": analytic_value,
             "rel_err": err,
             "status": "PASS" if err <= _REL_TOL else "FAIL",
         }
         if paper_value is not None:
             entry["paper_value"] = str(paper_value)
-            entry["status"] = ("PASS" if Fraction(paper_value) == oracle_value
+            entry["status"] = ("PASS" if paper_value == Fraction(num, denom)
                                else "MISMATCH_WITH_PAPER")
         checks.append(entry)
 
-    for w in range(n + 1):
-        add(f"avg_weight[{w}]", moments.e_aw[w],
-            ens_mod.avg_weight(analytic, w).to_float())
+    e_awaw = n2.tolist()
+    for w, value in enumerate(_to_floats(ens_mod._log2_avg_weights(analytic))):
+        add(f"avg_weight[{w}]", e_awaw[0][w], den, value)
     cov = ens_mod.cov_matrix(analytic)
-    for w1 in range(1, n + 1):
-        for w2 in range(w1, n + 1):
-            add(f"second_moment[{w1},{w2}]", moments.e_awaw[w1][w2],
-                ens_mod.second_moment_weight(analytic, w1, w2).to_float())
-            add(f"cov[{w1},{w2}]", moments.cov[w1][w2],
-                LogReal(float(cov[w1, w2])).to_float())
+    cov_n = (n2 * den - np.multiply.outer(n2[0], n2[0])).tolist()
+    w1s, w2s = np.triu_indices(n)
+    w1s += 1
+    w2s += 1
+    second = _to_floats(ens_mod._second_moment_kernel(analytic, w1s, w2s))
+    cov_f = _to_floats(cov[w1s, w2s])
+    for i, (w1, w2) in enumerate(zip(w1s.tolist(), w2s.tolist())):
+        add(f"second_moment[{w1},{w2}]", e_awaw[w1][w2], den, second[i])
+        add(f"cov[{w1},{w2}]", cov_n[w1][w2], den * den, cov_f[i])
     for eps in _EPS_POINTS:
+        p, q = eps.as_integer_ratio()
+        # Numerators over q^n of eps^w (1-eps)^(n-w), w = 1..n.
+        bsc = np.array([p ** w * (q - p) ** (n - w)
+                        for w in range(1, n + 1)], dtype=object)
+        mean = int(n2[0, 1:] @ bsc)
+        second_pu = int(bsc @ n2[1:, 1:] @ bsc)
         ch = Bsc(float(eps))
-        add(f"avg_pu[eps={eps}]", moments.e_pu(eps),
+        add(f"avg_pu[eps={eps}]", mean, den * q ** n,
             ens_mod.avg_pu(analytic, ch).to_float())
-        add(f"var_pu[eps={eps}]", moments.var_pu(eps),
+        add(f"var_pu[eps={eps}]", second_pu * den - mean * mean,
+            (den * q ** n) ** 2,
             ens_mod.var_pu_from_cov(analytic, cov, ch.eps).to_float())
 
     if (m, n, k) == (1, 2, Fraction(1, 2)):
-        add("e_pu_eps1_coeff", moments.e_pu[1], float(moments.e_pu[1]),
-            paper_value=_PUBLISHED_EXAMPLE["e_pu_eps1_coeff"])
-        add("e_pu2_eps3_coeff", moments.e_pu2[3], float(moments.e_pu2[3]),
-            paper_value=_PUBLISHED_EXAMPLE["e_pu2_eps3_coeff"])
+        moments = enumerate_ensemble(m, n, k)
+        for name, coeff in (("e_pu_eps1_coeff", moments.e_pu[1]),
+                            ("e_pu2_eps3_coeff", moments.e_pu2[3])):
+            add(name, *coeff.as_integer_ratio(), float(coeff),
+                paper_value=_PUBLISHED_EXAMPLE[name])
 
     numeric = [c for c in checks if "paper_value" not in c]
     max_err = max(c["rel_err"] for c in numeric)

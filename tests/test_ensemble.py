@@ -9,19 +9,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udestats.oracle as oracle
 from udestats.ensemble import (BernoulliEnsemble, Bsc, _avg_pu_random_closed,
-                               _log2_binom_row, _var_pu_random_closed, avg_pu,
-                               avg_weight, cov_matrix, cov_weight,
+                               _log2_binom_row, _second_moment_kernel,
+                               _var_pu_random_closed, avg_pu, avg_weight,
+                               cov_matrix, cov_weight,
                                finite_n_exponent, joint_pass_prob,
                                second_moment_weight, var_pu, var_pu_from_cov)
-from udestats.logreal import log2_sum
+from udestats.logreal import LogReal, log2_sum
 
-from references import cov_weight_exact
+from references import cov_weight_exact, second_moment_weight_exact
 
 
 class _ForcedGeneric(BernoulliEnsemble):
@@ -363,6 +365,40 @@ def test_cov_weight_matches_mpmath_at_n2000():
                - marg)
             for v in range(max(0, w1 + w2 - n), min(w1, w2) + 1))
         got = cov_weight(ens, w1, w2).log2
+        assert abs(got - float(mpmath.log(total, 2))) * math.log(2) <= 1e-12
+
+
+@pytest.mark.parametrize("k", ["sparse", "random", "1e-9"])
+def test_second_moment_kernel_matches_exact_fractions(k):
+    # Every pair of every shape up to 3x8, all pairs in one kernel call;
+    # each entry is also the single-pair function's value, bit for bit.
+    for m in (1, 2, 3):
+        for n in range(1, 9):
+            kf = (Fraction(n, 4) if k == "sparse" else Fraction(n, 2)
+                  if k == "random" else Fraction(k))
+            ens = BernoulliEnsemble(m, n, float(kf))
+            w1, w2 = np.triu_indices(n)
+            got = _second_moment_kernel(ens, w1 + 1, w2 + 1)
+            for i, (a, b) in enumerate(zip(w1 + 1, w2 + 1)):
+                a, b = int(a), int(b)
+                assert got[i] == second_moment_weight(ens, b, a).log2
+                exact = second_moment_weight_exact(m, n, kf, a, b)
+                value = LogReal(float(got[i])).to_float()
+                assert abs(value - exact) <= 1e-13 * exact, (m, n, a, b)
+
+
+def test_second_moment_weight_matches_mpmath_at_n2000():
+    m, n, k = 1000, 2000, 4.0
+    ens = BernoulliEnsemble(m, n, k)
+    mpmath.mp.dps = 50
+    z = 1 - 2 * mpmath.mpf(k) / n
+    for w1, w2 in ((1, 2000), (3, 7), (500, 1500), (1000, 1000)):
+        total = mpmath.fsum(
+            mpmath.binomial(n, w1) * mpmath.binomial(w1, v)
+            * mpmath.binomial(n - w1, w2 - v)
+            * ((1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v)) / 4) ** m
+            for v in range(max(0, w1 + w2 - n), min(w1, w2) + 1))
+        got = second_moment_weight(ens, w1, w2).log2
         assert abs(got - float(mpmath.log(total, 2))) * math.log(2) <= 1e-12
 
 

@@ -328,6 +328,43 @@ def test_verify_beyond_small_shapes(m, n):
         assert rep["max_rel_err"] < 1e-13, k
 
 
+@pytest.mark.parametrize("m, n", SMALL_SHAPES)
+def test_report_values_are_enumerate_ensembles_fractions(m, n):
+    # The report reads the integer numerators; every printed value must be
+    # the Fraction enumerate_ensemble gives, and P_U's its polynomials'
+    # values.  k = n/4 at 1x2 is the published example.
+    for k in (Fraction(n, 4), Fraction(n, 2)):
+        mom = enumerate_ensemble(m, n, k)
+        want = {f"avg_weight[{w}]": mom.e_aw[w] for w in range(n + 1)}
+        for w1 in range(1, n + 1):
+            for w2 in range(w1, n + 1):
+                want[f"second_moment[{w1},{w2}]"] = mom.e_awaw[w1][w2]
+                want[f"cov[{w1},{w2}]"] = mom.cov[w1][w2]
+        for eps in oracle._EPS_POINTS:
+            want[f"avg_pu[eps={eps}]"] = mom.e_pu(eps)
+            want[f"var_pu[eps={eps}]"] = mom.var_pu(eps)
+        if (m, n, k) == (1, 2, Fraction(1, 2)):
+            want["e_pu_eps1_coeff"] = mom.e_pu[1]
+            want["e_pu2_eps3_coeff"] = mom.e_pu2[3]
+        checks = verify_closed_forms(m, n, k)["checks"]
+        assert [c["name"] for c in checks] == list(want), k
+        for c in checks:
+            assert c["oracle_value"] == str(want[c["name"]]), (k, c["name"])
+
+
+def test_verify_memory_is_bounded():
+    # A cold report at 1x22, the widest verified shape; the peak before
+    # the report read the numerators directly was 0.56 MiB.
+    _class_sums_cache.pop((1, 22), None)
+    tracemalloc.start()
+    try:
+        verify_closed_forms(1, 22, Fraction(11, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("k", ["1e-9", "1e-12"])
 def test_verify_at_small_k(k):
     # z = 1 - 2p must not be rounded before 1 - z^(2v) is formed from it.
