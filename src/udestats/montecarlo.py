@@ -8,9 +8,12 @@ space both exceed the enumeration budget; its report carries the
 within-matrix sampling variance so the between-matrix variance can be
 debiased, and it keeps the standard errors of the mean and variance
 positive when no trial of any matrix goes undetected, the usual case when
-P_U ~ 2^-m.  It draws the error positions of a block of trials from their
+P_U ~ 2^-m.  It draws the error positions of a chunk of trials from their
 geometric gaps, one exponential per bit error rather than one uniform per
 bit, and a trial's syndrome is the XOR of H's bit-packed columns there.
+A chunk expects about 2^15 error positions and holds at least one trial,
+so until eps n passes 2^15 its temporaries take about 1 MB at every eps,
+plus 256 KB for each 64-bit syndrome word past the first.
 
 One loop samples the matrices for both modes and scores each one at
 every eps, so all eps values see the same matrices.  Reproducibility: the
@@ -33,10 +36,11 @@ from .gf2 import BitMatrix, pu_from_weights, weight_distribution
 # errors for sample means, Wilson score intervals for channel hit rates.
 CI_Z = 4.0
 CI_LEVEL = 0.9999367
-# Doubles drawn at once by sample_matrix (8 MB), and channel error bits per
-# chunk of estimate_pu_channel: the temporaries stay bounded whatever n is.
-_SAMPLE_BLOCK = 1 << 20
-_CHUNK_BITS = 1 << 20
+# Doubles drawn at once by sample_matrix, and expected error positions per
+# chunk of estimate_pu_channel.  A chunk holds at least one trial, so about
+# max(_BLOCK, eps n) positions; its int64 temporaries take 8 bytes a
+# position, 256 KB (near L2 size) while eps n <= _BLOCK.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,10 @@ def worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 def sample_matrix(ens: BernoulliEnsemble, rng: np.random.Generator) -> BitMatrix:
     """One matrix with i.i.d. Bernoulli(p) entries."""
-    # Rows are drawn in blocks of about _SAMPLE_BLOCK doubles.
+    # Rows are drawn in blocks of at most _BLOCK doubles, or one row.
     # Generator.random fills row-major from one stream, so the blocks give
     # the same matrix as one m x n draw.
-    block = max(1, _SAMPLE_BLOCK // ens.n)
+    block = max(1, _BLOCK // ens.n)
     rows = []
     for start in range(0, ens.m, block):
         bits = rng.random((min(block, ens.m - start), ens.n)) < ens.p
@@ -168,7 +172,13 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
     # at its positions; it is undetected if it has an error and a zero
     # syndrome.
     cols = _packed_columns(h)
-    chunk = max(1, _CHUNK_BITS // h.n)
+    # A chunk expects about _BLOCK error positions and holds at least one
+    # trial.  It does not depend on m, so matrices with the same columns
+    # see the same stream.  A chunk of many trials spans at most
+    # 2^62 / _BLOCK bits: _error_positions then sums fewer than 2 _BLOCK
+    # gaps of at most that many bits, and no int64 position overflows.
+    cap = (1 << 62) // _BLOCK // h.n
+    chunk = max(1, int(min(_BLOCK / (eps * h.n), cap)))
     hits = 0
     for start in range(0, trials, chunk):
         pos = _error_positions(min(chunk, trials - start) * h.n, eps, rng)

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from udestats.ensemble import BernoulliEnsemble
 from udestats.gf2 import BitMatrix, pu_from_weights, weight_distribution
-from udestats.montecarlo import (_CHUNK_BITS, _SAMPLE_BLOCK, CI_Z,
-                                 SampleStats, SimConfig, estimate_pu_channel,
-                                 estimate_pu_distribution, pu_report,
-                                 sample_matrix, sample_pu_stats, worker_rng)
+from udestats import montecarlo
+from udestats.montecarlo import (_BLOCK, CI_Z, SampleStats, SimConfig,
+                                 estimate_pu_channel, estimate_pu_distribution,
+                                 pu_report, sample_matrix, sample_pu_stats,
+                                 worker_rng)
 from udestats.oracle import enumerate_ensemble
 
 floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -102,9 +103,9 @@ def test_sample_matrix_determinism_and_density():
 
 
 def test_sample_matrix_blocks_replay_one_draw():
-    # 7 rows of 300,000 columns are drawn in blocks of 3, 3 and 1 rows.
-    ens = BernoulliEnsemble(7, 300_000, 0.3 * 300_000)
-    assert _SAMPLE_BLOCK // ens.n == 3
+    # 7 rows of 10,000 columns are drawn in blocks of 3, 3 and 1 rows.
+    ens = BernoulliEnsemble(7, 10_000, 0.3 * 10_000)
+    assert _BLOCK // ens.n == 3
     rng, ref = worker_rng(7100, 0), worker_rng(7100, 0)
     h = sample_matrix(ens, rng)
     packed = np.packbits(ref.random((ens.m, ens.n)) < ens.p, axis=1,
@@ -182,22 +183,29 @@ def _in_clopper_pearson(hits: int, trials: int, p: float,
     return pmf[:hits + 1].sum() > alpha / 2 and pmf[hits:].sum() > alpha / 2
 
 
-# Level of every Clopper-Pearson check below: with five checks a correct
-# sampler fails this file in about one run in 2 * 10^5.
+# Level of every Clopper-Pearson check below: with six checks a correct
+# sampler fails this file in about one run in 1.7 * 10^5.
 CP_ALPHA = 1e-6
 
 
-def test_channel_estimates_match_exact_pu():
+def test_channel_estimates_match_exact_pu(monkeypatch):
     h = BitMatrix.from_strings(["11010010", "01101001", "10110100"])
     counts = weight_distribution(h).counts
-    chunk = _CHUNK_BITS // h.n
-    trials = 2 * chunk + 12_345  # the last chunk is a partial one
     rng = worker_rng(7101, 0)
-    for eps in (0.01, 0.2, 0.34, 0.49):
+
+    def check(eps, trials):
         hits = round(estimate_pu_channel(h, eps, trials, rng)["estimate"]
                      * trials)
         p = pu_from_weights(counts, h.n, eps)
         assert _in_clopper_pearson(hits, trials, p, CP_ALPHA), (eps, hits, p)
+
+    for eps in (0.01, 0.2, 0.34, 0.49):
+        # Two chunks of about _BLOCK error positions, then a partial one.
+        chunk = int(_BLOCK / (eps * h.n))
+        check(eps, 2 * chunk + chunk // 2)
+    # A budget below eps n puts one trial in every chunk.
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+    check(0.34, 20_000)
 
 
 def test_channel_syndromes_span_words():
@@ -219,16 +227,31 @@ def test_channel_syndromes_span_words():
 
 
 def test_channel_memory_is_bounded_by_the_chunk():
-    # One 4096 x 20000 draw of doubles would take 655 MB; the chunks of
-    # about 2^20 error bits keep the peak near 15 MB.
-    h = sample_matrix(BernoulliEnsemble(4, 20_000, 5.0), worker_rng(7103, 0))
-    tracemalloc.start()
-    try:
-        estimate_pu_channel(h, 0.45, 4096, worker_rng(7103, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
+    # One 4096 x 20000 draw of doubles would take 655 MB.  Chunks of about
+    # 2^15 expected error positions keep the peak under 2 MB at every eps,
+    # with m past 64 (four syndrome words) too.
+    for shape, eps, trials in (((20, 200, 5.0), 0.01, 1 << 14),
+                               ((20, 200, 5.0), 0.1, 1 << 14),
+                               ((20, 200, 5.0), 0.45, 1 << 14),
+                               ((200, 2000, 5.0), 0.45, 1 << 10),
+                               ((4, 20_000, 5.0), 0.45, 4096)):
+        h = sample_matrix(BernoulliEnsemble(*shape), worker_rng(7103, 0))
+        tracemalloc.start()
+        try:
+            estimate_pu_channel(h, eps, trials, worker_rng(7103, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (shape, eps, peak)
+
+
+def test_channel_positions_stay_exact_at_tiny_eps():
+    # At eps 1e-300 a chunk would hold 10^302 trials.  10^18 trials of 10
+    # columns are 10^19 bits, past int64; capped, they take about 71,000
+    # chunks.
+    h = BitMatrix(2, 10, (0b1011001110, 0b0110110011))
+    rep = estimate_pu_channel(h, 1e-300, 10 ** 18, worker_rng(7104, 0))
+    assert rep["estimate"] == 0.0 and rep["trials"] == 10 ** 18
 
 
 def test_channel_interval_on_zero_hits():
