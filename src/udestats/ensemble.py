@@ -16,9 +16,10 @@ The covariances come from one numpy kernel, `_cov_kernel`, over flat
 2^13 triples (64 KB per temporary, whatever n), with the log-sum-exp of
 each pair done by `reduceat`.  `cov_weight` is the kernel on one pair
 and `cov_matrix` on all of them, so the two agree bit for bit.  The
-second moments E[A_w1 A_w2] come the same way from
-`_second_moment_kernel`, one row of n + 1 overlaps per pair, and
-`second_moment_weight` is it on one pair.
+second moments need no overlap sum of their own: E[A_w1 A_w2] is
+Cov(A_w1, A_w2) + E[A_w1] E[A_w2], two nonnegative terms added in log
+domain, by `second_moment_from_cov` on the matrix and by
+`second_moment_weight` on one pair, again bit for bit alike.
 log2 C(a, j) comes from exact integers, one row per a, cached in a
 bounded LRU (512 rows).
 
@@ -174,21 +175,6 @@ def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal
     return LogReal(ens.m * (math.log1p(s) / _LN2 - 2.0))
 
 
-def second_moment_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
-    """E[A_w1 A_w2] as the overlap sum of joint-pass probabilities.
-
-    This is `_second_moment_kernel` on the one pair, so the value is bit
-    for bit the one the kernel gives for the pair among any others.
-    """
-    n = ens.n
-    if not (1 <= w1 <= n and 1 <= w2 <= n):
-        raise ValueError("weights out of range")
-    if w1 > w2:
-        w1, w2 = w2, w1
-    return LogReal(float(
-        _second_moment_kernel(ens, np.array([w1]), np.array([w2]))[0]))
-
-
 # Rows are cached one by one, like gf2's Krawtchouk columns: a matrix at
 # n uses the rows a = 0..n, a single pair only the rows n, w1 and n - w1.
 @functools.lru_cache(maxsize=512)
@@ -290,41 +276,6 @@ def _cov_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
     return out
 
 
-def _second_moment_kernel(ens: BernoulliEnsemble, w1: np.ndarray,
-                          w2: np.ndarray) -> np.ndarray:
-    """log2 E[A_w1 A_w2] for pairs 1 <= w1 <= w2: the sum over overlaps v
-    from v_lo = max(0, w1 + w2 - n) to w1 of C(n, w1) C(w1, v)
-    C(n - w1, w2 - v) times the joint-pass probability
-    ((1 + z^w1 + z^w2 + z^(w1+w2-2v))/4)^m.
-
-    Each pair is one row of n + 1 overlaps v_lo + j, j = 0..n, the ones
-    past w1 being exact zeros, so a pair's row and its sum are the same
-    whichever pairs share the call.  Rows go in blocks of at most
-    _BLOCK_TRIPLES entries, or one row where n + 1 is more: memory is
-    O(n) for one pair at any n.
-    """
-    n, m = ens.n, ens.m
-    zpow = np.exp(_log_zpowers(ens, 2 * n))     # z^e, z^0 = 1 also at z = 0
-    table, offset = _log2_binom_table(n, w1)
-    j = np.arange(n + 1)
-    step = max(1, _BLOCK_TRIPLES // (n + 1))
-    out = np.empty(len(w1))
-    for lo in range(0, len(w1), step):
-        a, b = w1[lo:lo + step, None], w2[lo:lo + step, None]
-        v = np.maximum(0, a + b - n) + j
-        past = v > a
-        np.minimum(v, a, out=v)
-        joint = m * (np.log1p(zpow[a] + zpow[b] + zpow[a + b - 2 * v])
-                     / _LN2 - 2.0)
-        terms = (table[offset[n] + a] + table[offset[a] + v]
-                 + table[offset[n - a] + b - v] + joint)
-        terms[past] = -np.inf
-        out[lo:lo + len(a)] = _log2_sum_segments(
-            terms.ravel(), np.arange(0, terms.size, n + 1),
-            np.full(len(a), n + 1))
-    return out
-
-
 def _log2_cov_random_diag(ens: BernoulliEnsemble) -> np.ndarray:
     """log2 Cov(A_w, A_w) = log2 E[A_w] (1 - 2^-m) of the random ensemble
     for w >= 1; its other covariances are 0."""
@@ -369,6 +320,23 @@ def cov_matrix(ens: BernoulliEnsemble) -> np.ndarray:
     with np.errstate(divide="ignore", under="ignore"):
         mat[w1, w2] = mat[w2, w1] = _cov_kernel(ens, w1, w2)
     return mat
+
+
+def second_moment_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
+    """E[A_w1 A_w2] = Cov(A_w1, A_w2) + E[A_w1] E[A_w2]; bit for bit the
+    entry of `second_moment_from_cov`."""
+    lw = _log2_avg_weights(ens)
+    return LogReal(float(np.logaddexp2(cov_weight(ens, w1, w2).log2,
+                                       lw[w1] + lw[w2])))
+
+
+def second_moment_from_cov(ens: BernoulliEnsemble,
+                           cov: np.ndarray) -> np.ndarray:
+    """log2 E[A_w1 A_w2] for 0 <= w1, w2 <= n, from the log2 matrix of
+    `cov_matrix`: both terms of Cov(A_w1, A_w2) + E[A_w1] E[A_w2] are
+    nonnegative, so nothing cancels."""
+    lw = _log2_avg_weights(ens)
+    return np.logaddexp2(cov, np.add.outer(lw, lw))
 
 
 def var_pu(ens: BernoulliEnsemble, ch: Bsc) -> LogReal:

@@ -234,7 +234,9 @@ def _error_positions(bits: int, eps: float,
     last = -1
     while last < bits:
         gaps = rng.standard_exponential(batch)
-        gaps /= rate
+        # A subnormal rate overflows gaps to inf, which the minimum clips.
+        with np.errstate(over="ignore"):
+            gaps /= rate
         np.minimum(gaps, bits, out=gaps)  # any longer gap ends the stream
         pos = gaps.astype(np.int64)
         pos += 1

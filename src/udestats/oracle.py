@@ -27,6 +27,7 @@ two are cross-checked in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -231,10 +232,12 @@ def _weight_class_sums(m: int, n: int) -> np.ndarray:
     return _class_sums_cache[key]
 
 
-def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray, int]:
-    """(k, n2, den): the moments E[A_w1 A_w2] as the exact integers
-    n2[w1, w2] (an object array) over den = b^mn, for p = k/n = a/b in
-    lowest terms; row 0 is E[A_w]'s, as A_0 = 1.  A shape over the budget
+def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray,
+                                             np.ndarray, int]:
+    """(k, n2, cov_n, den): the moments E[A_w1 A_w2] as the exact
+    integers n2[w1, w2] (an object array) over den = b^mn, for
+    p = k/n = a/b in lowest terms, and the covariances as cov_n[w1, w2]
+    over den^2; row 0 is E[A_w]'s, as A_0 = 1.  A shape over the budget
     is refused before anything is allocated: one whose rows or columns
     do not fit a 64-bit word, one whose int64 sums could overflow
     (C(mn, t) matrices with t ones times C(n, w1) C(n, w2) codeword pairs
@@ -257,14 +260,14 @@ def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray, int]:
     weights = np.array([a ** wt * (b - a) ** (mn - wt)
                         for wt in range(mn + 1)], dtype=object)
     n2 = (weights @ s2.reshape(mn + 1, -1).astype(object)).reshape(n + 1, -1)
-    return k, n2, b ** mn
+    den = b ** mn
+    return k, n2, n2 * den - np.multiply.outer(n2[0], n2[0]), den
 
 
 def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     """Exact moments over all 2^(m n) matrices, from the numerators of
     `_numerators` (which refuses a shape over the oracle's budget)."""
-    k, n2, den = _numerators(m, n, k)
-    cov_n = n2 * den - np.multiply.outer(n2[0], n2[0])
+    k, n2, cov_n, den = _numerators(m, n, k)
     e_aw = [Fraction(v, den) for v in n2[0]]
     e_awaw = [[Fraction(v, den) for v in row] for row in n2]
     cov = [[Fraction(v, den * den) for v in row] for row in cov_n]
@@ -343,6 +346,27 @@ def _to_floats(log2_values: np.ndarray) -> list:
     return [LogReal(v).to_float() for v in log2_values.tolist()]
 
 
+def _check_digits(m: int, n: int, b: int) -> None:
+    """Refuse, before enumerating, a report that would print an integer
+    longer than Python's limit on int-to-str digits.  One it prints is the
+    reduced denominator of Var[P_U] at eps = 1/10, for p = a/b: Var[P_U]
+    is 10^-2n times a polynomial in p with integer coefficients, the top
+    one, of p^2mn, being -2^(2m(n-1)).  So the denominator holds the odd
+    part of b^2mn, 5^2n more if 5 | b, and if 2^(2m(n-1) + 1) | b, the
+    twos of b^2mn times 2^(2n - 2m(n-1)).  Where 10 | b as well, as at
+    every k = 10^-e, that is all of it and the longest integer printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    twos = (b & -b).bit_length() - 1
+    low = (b >> twos) ** (2 * m * n) * 5 ** (2 * n * (b % 5 == 0))
+    if twos > 2 * m * (n - 1):
+        low <<= 2 * m * n * twos + 2 * n - 2 * m * (n - 1)
+    if limit and low >= 10 ** limit:
+        raise GuardExceededError(
+            f"the {m}x{n} report at this k would print integers of over "
+            f"{limit} digits, Python's limit for int-to-str conversion "
+            "(see sys.set_int_max_str_digits)")
+
+
 def verify_closed_forms(m: int, n: int, k) -> dict:
     """Compare exhaustive-enumeration moments against the closed-form
     module on every overlapping quantity; a check passes within a relative
@@ -358,7 +382,9 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     prints published-example coefficients next to the enumerated ones for
     the (1, 2, 1/2) case, flagging the known discrepancies.
     """
-    k, n2, den = _numerators(m, n, _check_k(n, Fraction(k)))
+    k = _check_k(n, Fraction(k))
+    _check_digits(m, n, (k / n).denominator)
+    k, n2, cov_n, den = _numerators(m, n, k)
     analytic = BernoulliEnsemble(m, n, float(k))
     checks = []
 
@@ -384,11 +410,12 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     for w, value in enumerate(_to_floats(ens_mod._log2_avg_weights(analytic))):
         add(f"avg_weight[{w}]", e_awaw[0][w], den, value)
     cov = ens_mod.cov_matrix(analytic)
-    cov_n = (n2 * den - np.multiply.outer(n2[0], n2[0])).tolist()
+    cov_n = cov_n.tolist()
     w1s, w2s = np.triu_indices(n)
     w1s += 1
     w2s += 1
-    second = _to_floats(ens_mod._second_moment_kernel(analytic, w1s, w2s))
+    second = _to_floats(
+        ens_mod.second_moment_from_cov(analytic, cov)[w1s, w2s])
     cov_f = _to_floats(cov[w1s, w2s])
     for i, (w1, w2) in enumerate(zip(w1s.tolist(), w2s.tolist())):
         add(f"second_moment[{w1},{w2}]", e_awaw[w1][w2], den, second[i])

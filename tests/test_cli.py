@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from udestats import asymptotics, cli, gf2
+from udestats import asymptotics, cli, gf2, oracle
 from udestats.cli import build_parser, main
 from udestats.logreal import LogReal
 
@@ -76,6 +76,7 @@ def test_module_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     res = subprocess.run([sys.executable, "-m", "udestats", "oracle",
                           "--m", "1", "--n", "2", "--k", "1/2"], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -177,7 +178,8 @@ def test_k_accepts_rational_and_decimal(capsys):
     assert out1 == out2
 
 
-def test_domain_errors_exit_nonzero(capsys):
+def test_domain_errors_exit_nonzero(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_class_sums_cache", {})
     cases = [
         ("avg-pu", "--m", "2", "--n", "4", "--k", "2", "--eps", "0.7"),
         ("awd", "--m", "2", "--n", "4", "--k", "3"),
@@ -202,6 +204,10 @@ def test_domain_errors_exit_nonzero(capsys):
          "--samples", "2"): "--channel-trials",
         # exact as a Fraction, but 0 as a float
         ("oracle", "--m", "1", "--n", "2", "--k", "1e-400"): "underflows",
+        # Var[P_U]'s denominator, about b^16 for p = a/b, passes the
+        # int-to-str digit limit: refused before enumerating
+        ("oracle", "--m", "2", "--n", "4", "--k", "1e-300"):
+            f"{sys.get_int_max_str_digits()} digits",
         ("avg-pu", "--m", "1", "--n", "2", "--k", "1e-400", "--eps", "0.1"):
             "underflows",
         ("exponent", "--rate", "0.5", "--k", "1e-400", "--eps", "0.1"):
@@ -223,6 +229,7 @@ def test_domain_errors_exit_nonzero(capsys):
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert named.get(argv, "") in err
+    assert (2, 4) not in oracle._class_sums_cache
 
 
 def test_cov_size_guard_refuses_before_allocating(capsys):
@@ -425,6 +432,17 @@ def test_channel_sim_reports_uncertainty_on_zero_hits(capsys):
     assert float(row["mean_se"]) > 0.0
     upper = 16 / (6000 + 16)  # Wilson upper end at z = 4, 0 of 6000 hits
     assert math.isclose(float(row["var_se"]), upper / 4, rel_tol=1e-12)
+
+
+def test_channel_sim_at_a_subnormal_eps(capsys):
+    # -ln(1 - eps) is subnormal, so every gap overflows to inf: no error
+    # falls in the stream, and no overflow warning is raised.
+    code, out, err = run_cli(capsys, "sim", "--m", "2", "--n", "8", "--k",
+                             "2", "--eps", "5e-324", "--samples", "2",
+                             "--channel-trials", "10")
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert float(dict(zip(header, rows[0]))["mean"]) == 0.0
 
 
 def test_cov_matrix_output_matches_single_pairs(capsys):

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import udestats.oracle as oracle
 from udestats.ensemble import (BernoulliEnsemble, Bsc, _avg_pu_random_closed,
-                               _log2_binom_row, _second_moment_kernel,
-                               _var_pu_random_closed, avg_pu, avg_weight,
-                               cov_matrix, cov_weight,
+                               _log2_binom_row, _var_pu_random_closed,
+                               avg_pu, avg_weight, cov_matrix, cov_weight,
                                finite_n_exponent, joint_pass_prob,
-                               second_moment_weight, var_pu, var_pu_from_cov)
+                               second_moment_from_cov, second_moment_weight,
+                               var_pu, var_pu_from_cov)
 from udestats.logreal import LogReal, log2_sum
 
 from references import cov_weight_exact, second_moment_weight_exact
@@ -196,6 +196,7 @@ def test_cross_checks_survive_optimize_flag():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -369,21 +370,22 @@ def test_cov_weight_matches_mpmath_at_n2000():
 
 
 @pytest.mark.parametrize("k", ["sparse", "random", "1e-9"])
-def test_second_moment_kernel_matches_exact_fractions(k):
-    # Every pair of every shape up to 3x8, all pairs in one kernel call;
-    # each entry is also the single-pair function's value, bit for bit.
+def test_second_moments_match_exact_fractions(k):
+    # Every pair of every shape up to 3x8, all pairs from one covariance
+    # matrix; each entry is also the single-pair function's value, bit for
+    # bit.
     for m in (1, 2, 3):
         for n in range(1, 9):
             kf = (Fraction(n, 4) if k == "sparse" else Fraction(n, 2)
                   if k == "random" else Fraction(k))
             ens = BernoulliEnsemble(m, n, float(kf))
-            w1, w2 = np.triu_indices(n)
-            got = _second_moment_kernel(ens, w1 + 1, w2 + 1)
-            for i, (a, b) in enumerate(zip(w1 + 1, w2 + 1)):
-                a, b = int(a), int(b)
-                assert got[i] == second_moment_weight(ens, b, a).log2
+            got = second_moment_from_cov(ens, cov_matrix(ens))
+            for a, b in zip(*np.triu_indices(n)):
+                a, b = int(a) + 1, int(b) + 1
+                assert got[a, b] == got[b, a]
+                assert got[a, b] == second_moment_weight(ens, b, a).log2
                 exact = second_moment_weight_exact(m, n, kf, a, b)
-                value = LogReal(float(got[i])).to_float()
+                value = LogReal(float(got[a, b])).to_float()
                 assert abs(value - exact) <= 1e-13 * exact, (m, n, a, b)
 
 

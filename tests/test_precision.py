@@ -8,7 +8,8 @@ import random
 import mpmath as mp
 
 from udestats.ensemble import (BernoulliEnsemble, Bsc, avg_pu, avg_weight,
-                               cov_matrix, cov_weight, var_pu_from_cov)
+                               cov_matrix, cov_weight, second_moment_weight,
+                               var_pu_from_cov)
 
 EPS = (1e-300, 1e-12, 0.01, 0.49)
 
@@ -65,6 +66,22 @@ def _cov_terms(m, n, lz, w1, w2):
     return out
 
 
+def _second_terms(m, n, lz, w1, w2):
+    """Factors of the overlap terms of E[A_w1 A_w2], v >= 0: the counts
+    and the joint-pass probability ((1 + z^w1 + z^w2 + z^e)/4)^m,
+    e = w1 + w2 - 2v."""
+    w1, w2 = min(w1, w2), max(w1, w2)
+
+    def zm1(e):  # z^e - 1
+        return mp.expm1(e * lz) if e else mp.mpf(0)
+    out = []
+    for v in range(max(0, w1 + w2 - n), w1 + 1):
+        joint = mp.log1p((zm1(w1) + zm1(w2) + zm1(w1 + w2 - 2 * v)) / 4)
+        out.append((_lbinom(n, w1), _lbinom(w1, v), _lbinom(n - w1, w2 - v),
+                    m * joint / mp.ln2))
+    return out
+
+
 def _var_terms(m, n, lz, eps):
     """Factors of Var[P_U] as a sum over the row states (i, j, k, l), l >= 1:
     4^-m (m; i,j,k,l) R^n expm1(n log1p((Q - R)/R)), with
@@ -106,6 +123,8 @@ def test_precision_contract():
                 w1, w2 = rng.randint(1, n), rng.randint(1, n)
                 _check(cov_weight(ens, w1, w2).log2,
                        _cov_terms(m, n, _log_z(n, k), w1, w2))
+                _check(second_moment_weight(ens, w1, w2).log2,
+                       _second_terms(m, n, _log_z(n, k), w1, w2))
         for m, n, k, epss in [(30, 400, 4.0, (1e-300, 0.49)),
                               (10, 100, 1e-12, EPS), (10, 100, 0.5, EPS),
                               (10, 100, 50, EPS)]:

@@ -22,6 +22,7 @@ def test_quick_start_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     res = subprocess.run([sys.executable, "-c", block], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
