@@ -6,8 +6,7 @@ from .asymptotics import (GrowthRate, OptimizerConfig, RatePoint,
                           exponent_objective, growth_rate_bernoulli,
                           growth_rate_random, var_pu_growth_rate)
 from .ensemble import (BernoulliEnsemble, Bsc, avg_pu, avg_weight,
-                       cov_matrix, cov_weight, finite_n_exponent,
-                       joint_pass_prob, second_moment_weight, var_pu)
+                       cov_matrix, cov_weight, var_pu)
 from .gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
                   MatrixFormatError, WeightDistribution, nullspace_basis,
                   pu_polynomial, rank, undetected_error_prob,
@@ -29,10 +28,9 @@ __all__ = [
     "SampleStats", "SimConfig", "WeightDistribution",
     "avg_pu", "avg_weight", "binary_entropy", "cov_growth_rate",
     "cov_matrix", "cov_weight", "enumerate_ensemble", "error_exponent",
-    "estimate_pu_distribution", "exponent_objective", "finite_n_exponent",
-    "growth_rate_bernoulli", "growth_rate_random", "joint_pass_prob",
-    "nullspace_basis", "pu_polynomial", "rank", "sample_matrix",
-    "sample_pu_stats", "second_moment_weight", "undetected_error_prob",
-    "var_pu", "var_pu_growth_rate", "verify_closed_forms",
-    "weight_distribution",
+    "estimate_pu_distribution", "exponent_objective",
+    "growth_rate_bernoulli", "growth_rate_random", "nullspace_basis",
+    "pu_polynomial", "rank", "sample_matrix", "sample_pu_stats",
+    "undetected_error_prob", "var_pu", "var_pu_growth_rate",
+    "verify_closed_forms", "weight_distribution",
 ]

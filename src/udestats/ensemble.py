@@ -1,7 +1,7 @@
 """Closed-form finite-size statistics of Bernoulli and random matrix
 ensembles: average weight distribution, mean/variance of the undetected
-error probability, weight-distribution covariance, and joint-pass
-probabilities.
+error probability, and weight-distribution covariance and second
+moments.
 
 Everything is computed in base-2 log domain (see logreal); every term in
 the formulas handled here is nonnegative for p <= 1/2, so no signed log
@@ -18,8 +18,7 @@ each pair done by `reduceat`.  `cov_weight` is the kernel on one pair
 and `cov_matrix` on all of them, so the two agree bit for bit.  The
 second moments need no overlap sum of their own: E[A_w1 A_w2] is
 Cov(A_w1, A_w2) + E[A_w1] E[A_w2], two nonnegative terms added in log
-domain, by `second_moment_from_cov` on the matrix and by
-`second_moment_weight` on one pair, again bit for bit alike.
+domain, by `second_moment_from_cov` on the matrix.
 log2 C(a, j) comes from exact integers, one row per a, cached in a
 bounded LRU (512 rows).
 
@@ -159,20 +158,6 @@ def avg_pu(ens: BernoulliEnsemble, ch: Bsc) -> LogReal:
 def _avg_pu_random_closed(m: int, n: int, eps: float) -> LogReal:
     # 2^-m (1 - (1-eps)^n), with 1 - (1-eps)^n = -expm1(n log1p(-eps))
     return LogReal(-m + math.log(-math.expm1(n * math.log1p(-eps))) / _LN2)
-
-
-def joint_pass_prob(ens: BernoulliEnsemble, w1: int, w2: int, v: int) -> LogReal:
-    """Pr[H x^t = 0 and H y^t = 0] for |x| = w1, |y| = w2, |supp overlap| = v."""
-    n = ens.n
-    if not (0 <= w1 <= n and 0 <= w2 <= n):
-        raise ValueError("weights out of range")
-    if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
-        raise ValueError(f"overlap v={v} invalid for w1={w1}, w2={w2}, n={n}")
-    log_z = _log_z(ens)
-    s = sum(math.exp(e * log_z) if e else 1.0
-            for e in (w1, w2, w1 + w2 - 2 * v))
-    # (1 + s)/4 <= 1; log1p keeps precision when s is tiny.
-    return LogReal(ens.m * (math.log1p(s) / _LN2 - 2.0))
 
 
 # Rows are cached one by one, like gf2's Krawtchouk columns: a matrix at
@@ -322,14 +307,6 @@ def cov_matrix(ens: BernoulliEnsemble) -> np.ndarray:
     return mat
 
 
-def second_moment_weight(ens: BernoulliEnsemble, w1: int, w2: int) -> LogReal:
-    """E[A_w1 A_w2] = Cov(A_w1, A_w2) + E[A_w1] E[A_w2]; bit for bit the
-    entry of `second_moment_from_cov`."""
-    lw = _log2_avg_weights(ens)
-    return LogReal(float(np.logaddexp2(cov_weight(ens, w1, w2).log2,
-                                       lw[w1] + lw[w2])))
-
-
 def second_moment_from_cov(ens: BernoulliEnsemble,
                            cov: np.ndarray) -> np.ndarray:
     """log2 E[A_w1 A_w2] for 0 <= w1, w2 <= n, from the log2 matrix of
@@ -376,8 +353,3 @@ def _var_pu_random_closed(m: int, n: int, eps: float) -> LogReal:
     diff = 2 * n * math.log1p(-eps) / _LN2 + (
         log2_t if log2_t < -60.0 else log2_expm1_exp(n * math.log1p(r * r)))
     return LogReal(math.log1p(-(2.0 ** -m)) / _LN2 - m + diff)
-
-
-def finite_n_exponent(ens: BernoulliEnsemble, ch: Bsc) -> float:
-    """(1/n) log2 E[P_U]; converges to the asymptotic error exponent."""
-    return avg_pu(ens, ch).log2 / ens.n

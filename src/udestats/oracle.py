@@ -19,9 +19,10 @@ them, C(2^m + n - 1, n) column or C(2^n + m - 1, m) row multisets, and
 counts each as many times as it occurs among the 2^(mn) matrices.  Its
 weight distribution comes from the fewer words: a parity check of all
 2^n words, or the 2^m words of its row space and the MacWilliams
-transform, over a Krawtchouk table built here from math.comb.  Neither
-route uses gf2's enumeration of the code or of the row space, and the
-two are cross-checked in the test suite.
+transform, over a Krawtchouk table built here from math.comb.  The
+module imports nothing from gf2, so neither route shares code with
+gf2's enumeration of the code or of the row space, and the test suite
+cross-checks the two.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from . import ensemble as ens_mod
 from .ensemble import BernoulliEnsemble, Bsc
-from .gf2 import BitVector
 from .logreal import LogReal
 from .rational import RationalPoly, poly_from_weight_counts
 
@@ -74,7 +73,6 @@ class EnsembleMoments:
     e_pu: RationalPoly
     e_pu2: RationalPoly
     var_pu: RationalPoly
-    matrix_probs: Optional[tuple] = None   # P(H) by matrix id, tiny cases only
 
 
 def _column_classes(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,54 +279,12 @@ def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
                                     2 * n)
     var_pu = e_pu2 - e_pu * e_pu
 
-    matrix_probs = None
-    mn, p = m * n, k / n
-    if (1 << mn) <= 4096:
-        probs = np.array([p ** wt * (1 - p) ** (mn - wt)
-                          for wt in range(mn + 1)], dtype=object)
-        matrix_probs = tuple(probs[np.bitwise_count(np.arange(1 << mn))])
-
     return EnsembleMoments(
         m=m, n=n, k=k,
         e_aw=tuple(e_aw),
         e_awaw=tuple(tuple(row) for row in e_awaw),
         cov=tuple(tuple(row) for row in cov),
-        e_pu=e_pu, e_pu2=e_pu2, var_pu=var_pu,
-        matrix_probs=matrix_probs)
-
-
-def brute_force_joint_pass(m: int, n: int, k, x: BitVector, y: BitVector
-                           ) -> Fraction:
-    """Pr[H x^t = 0 and H y^t = 0] by enumerating all 2^n rows.
-
-    Rows are independent, so the single-row probability is raised to m.
-    """
-    if n > 20:
-        raise GuardExceededError(f"2^{n} rows exceed the brute-force guard")
-    if x.n != n or y.n != n:
-        raise ValueError("vector length mismatch")
-    k = _check_k(n, Fraction(k))
-    p = k / n
-    q = Fraction(0)
-    for h in range(1 << n):
-        if (h & x.bits).bit_count() & 1:
-            continue
-        if (h & y.bits).bit_count() & 1:
-            continue
-        w = h.bit_count()
-        q += p ** w * (1 - p) ** (n - w)
-    return q ** m
-
-
-def joint_pass_prob_exact(m: int, n: int, k, w1: int, w2: int, v: int
-                          ) -> Fraction:
-    """The closed form of Pr[H x^t = 0 and H y^t = 0] in Fractions, for
-    |x| = w1, |y| = w2 and overlap v."""
-    k = _check_k(n, Fraction(k))
-    if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
-        raise ValueError(f"overlap v={v} invalid for w1={w1}, w2={w2}")
-    z = 1 - 2 * k / n
-    return (Fraction(1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v), 4)) ** m
+        e_pu=e_pu, e_pu2=e_pu2, var_pu=var_pu)
 
 
 # --- Verification report ---
@@ -346,25 +302,34 @@ def _to_floats(log2_values: np.ndarray) -> list:
     return [LogReal(v).to_float() for v in log2_values.tolist()]
 
 
-def _check_digits(m: int, n: int, b: int) -> None:
-    """Refuse, before enumerating, a report that would print an integer
-    longer than Python's limit on int-to-str digits.  One it prints is the
-    reduced denominator of Var[P_U] at eps = 1/10, for p = a/b: Var[P_U]
+def _check_digits(m: int, n: int, *values: int) -> None:
+    """Refuse a report that prints an integer at least as large as one of
+    `values` when that one has more digits than Python's limit on
+    int-to-str conversion.  An integer of at most 3 bits per digit of the
+    limit is below 10^limit, so most values skip the power of 10."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for v in values:
+        v = abs(v)
+        if limit and v.bit_length() > 3 * limit and v >= 10 ** limit:
+            raise GuardExceededError(
+                f"the {m}x{n} report at this k would print integers of over "
+                f"{limit} digits, Python's limit for int-to-str conversion "
+                "(see sys.set_int_max_str_digits)")
+
+
+def _var_pu_denominator_bound(m: int, n: int, b: int) -> int:
+    """A lower bound, from b alone, on the reduced denominator of Var[P_U]
+    at eps = 1/10 for p = a/b, an integer the report prints.  Var[P_U]
     is 10^-2n times a polynomial in p with integer coefficients, the top
     one, of p^2mn, being -2^(2m(n-1)).  So the denominator holds the odd
     part of b^2mn, 5^2n more if 5 | b, and if 2^(2m(n-1) + 1) | b, the
     twos of b^2mn times 2^(2n - 2m(n-1)).  Where 10 | b as well, as at
     every k = 10^-e, that is all of it and the longest integer printed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     twos = (b & -b).bit_length() - 1
     low = (b >> twos) ** (2 * m * n) * 5 ** (2 * n * (b % 5 == 0))
     if twos > 2 * m * (n - 1):
         low <<= 2 * m * n * twos + 2 * n - 2 * m * (n - 1)
-    if limit and low >= 10 ** limit:
-        raise GuardExceededError(
-            f"the {m}x{n} report at this k would print integers of over "
-            f"{limit} digits, Python's limit for int-to-str conversion "
-            "(see sys.set_int_max_str_digits)")
+    return low
 
 
 def verify_closed_forms(m: int, n: int, k) -> dict:
@@ -383,7 +348,8 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     the (1, 2, 1/2) case, flagging the known discrepancies.
     """
     k = _check_k(n, Fraction(k))
-    _check_digits(m, n, (k / n).denominator)
+    _check_digits(m, n,
+                  _var_pu_denominator_bound(m, n, (k / n).denominator))
     k, n2, cov_n, den = _numerators(m, n, k)
     analytic = BernoulliEnsemble(m, n, float(k))
     checks = []
@@ -391,6 +357,7 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     def add(name, num, denom, analytic_value, paper_value=None):
         g = math.gcd(num, denom)
         num, denom = num // g, denom // g
+        _check_digits(m, n, num, denom)
         o, a = num / denom, analytic_value
         err = 0.0 if o == a else abs(o - a) / max(abs(o), abs(a))
         entry = {

@@ -31,16 +31,6 @@ class RationalPoly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @classmethod
-    def bernstein(cls, w: int, n: int) -> "RationalPoly":
-        """eps^w (1-eps)^(n-w) expanded in the monomial basis."""
-        if not 0 <= w <= n:
-            raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-        cs = [Fraction(0)] * (n + 1)
-        for j in range(n - w + 1):
-            cs[w + j] = Fraction((-1) ** j * math.comb(n - w, j))
-        return cls(cs)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -1,6 +1,8 @@
-"""Reference evaluations that only the tests use: the closed forms of the
-weight moments in exact Fractions, and a numeric sup for the covariance
-growth rate's inner closed form."""
+"""Reference evaluations that only the tests use: the joint-pass
+probability by brute force over all rows and in closed form, each
+matrix's probability and the Bernstein polynomials, the closed forms of
+the weight moments, all in exact Fractions, and a numeric sup for the
+covariance growth rate's inner closed form."""
 
 import math
 from fractions import Fraction
@@ -9,7 +11,63 @@ import numpy as np
 
 from udestats.asymptotics import (OptimizerConfig, _scalar, _sup_rows,
                                   binary_entropy)
-from udestats.oracle import _check_k, joint_pass_prob_exact
+from udestats.gf2 import BitVector
+from udestats.oracle import GuardExceededError, _check_k
+from udestats.rational import RationalPoly
+
+
+def brute_force_joint_pass(m: int, n: int, k, x: BitVector, y: BitVector
+                           ) -> Fraction:
+    """Pr[H x^t = 0 and H y^t = 0] by enumerating all 2^n rows.
+
+    Rows are independent, so the single-row probability is raised to m.
+    """
+    if n > 20:
+        raise GuardExceededError(f"2^{n} rows exceed the brute-force guard")
+    if x.n != n or y.n != n:
+        raise ValueError("vector length mismatch")
+    k = _check_k(n, Fraction(k))
+    p = k / n
+    q = Fraction(0)
+    for h in range(1 << n):
+        if (h & x.bits).bit_count() & 1:
+            continue
+        if (h & y.bits).bit_count() & 1:
+            continue
+        w = h.bit_count()
+        q += p ** w * (1 - p) ** (n - w)
+    return q ** m
+
+
+def joint_pass_prob_exact(m: int, n: int, k, w1: int, w2: int, v: int
+                          ) -> Fraction:
+    """The closed form of Pr[H x^t = 0 and H y^t = 0] in Fractions, for
+    |x| = w1, |y| = w2 and overlap v."""
+    k = _check_k(n, Fraction(k))
+    if not max(0, w1 + w2 - n) <= v <= min(w1, w2):
+        raise ValueError(f"overlap v={v} invalid for w1={w1}, w2={w2}")
+    z = 1 - 2 * k / n
+    return (Fraction(1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v), 4)) ** m
+
+
+def matrix_probs(m: int, n: int, k) -> tuple:
+    """P(H) of each of the 2^(mn) matrices, by matrix id t (row i in bits
+    [n i, n (i + 1)))."""
+    k = _check_k(n, Fraction(k))
+    mn, p = m * n, k / n
+    probs = np.array([p ** wt * (1 - p) ** (mn - wt)
+                      for wt in range(mn + 1)], dtype=object)
+    return tuple(probs[np.bitwise_count(np.arange(1 << mn))])
+
+
+def bernstein(w: int, n: int) -> RationalPoly:
+    """eps^w (1-eps)^(n-w) expanded in the monomial basis."""
+    if not 0 <= w <= n:
+        raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
+    cs = [Fraction(0)] * (n + 1)
+    for j in range(n - w + 1):
+        cs[w + j] = Fraction((-1) ** j * math.comb(n - w, j))
+    return RationalPoly(cs)
 
 
 def avg_weight_exact(m: int, n: int, k, w: int) -> Fraction:

@@ -232,6 +232,18 @@ def test_domain_errors_exit_nonzero(capsys, monkeypatch):
     assert (2, 4) not in oracle._class_sums_cache
 
 
+@pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
+def test_oracle_refuses_a_report_past_the_digit_limit(capsys, m, n):
+    # p = 1/3^281 passes the up-front bound, which sees no 2 or 5 in b,
+    # but Var[P_U]'s printed denominator still has over 4300 digits.
+    code, out, err = run_cli(capsys, "oracle", "--m", str(m), "--n", str(n),
+                             "--k", f"{n}/{3 ** 281}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert (f"{m}x{n} report at this k would print integers of over "
+            f"{sys.get_int_max_str_digits()} digits") in err
+
+
 def test_cov_size_guard_refuses_before_allocating(capsys):
     shape = ("--m", "2", "--n", "20000", "--k", "2")
     for argv in [("cov",) + shape, ("var-pu",) + shape + ("--eps", "0.1")]:

@@ -14,13 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import udestats.oracle as oracle
 from udestats.ensemble import (BernoulliEnsemble, Bsc, _avg_pu_random_closed,
                                _log2_binom_row, _var_pu_random_closed,
                                avg_pu, avg_weight, cov_matrix, cov_weight,
-                               finite_n_exponent, joint_pass_prob,
-                               second_moment_from_cov, second_moment_weight,
-                               var_pu, var_pu_from_cov)
+                               second_moment_from_cov, var_pu,
+                               var_pu_from_cov)
 from udestats.logreal import LogReal, log2_sum
 
 from references import cov_weight_exact, second_moment_weight_exact
@@ -60,9 +58,10 @@ def test_worked_example_moments():
     ens = BernoulliEnsemble(1, 2, 0.5)
     assert math.isclose(avg_weight(ens, 1).to_float(), 1.5, rel_tol=1e-15)
     assert math.isclose(avg_weight(ens, 2).to_float(), 0.625, rel_tol=1e-15)
-    assert math.isclose(second_moment_weight(ens, 1, 1).to_float(), 21 / 8,
+    second = second_moment_from_cov(ens, cov_matrix(ens))
+    assert math.isclose(LogReal(float(second[1, 1])).to_float(), 21 / 8,
                         rel_tol=1e-14)
-    assert math.isclose(second_moment_weight(ens, 1, 2).to_float(), 9 / 8,
+    assert math.isclose(LogReal(float(second[1, 2])).to_float(), 9 / 8,
                         rel_tol=1e-14)
     assert math.isclose(cov_weight(ens, 1, 1).to_float(), 3 / 8,
                         rel_tol=1e-13)
@@ -104,9 +103,9 @@ def test_cov_symmetry_and_nonnegativity(ens):
 @settings(max_examples=30, deadline=None)
 @given(ensembles())
 def test_second_moment_diagonal_dominance(ens):
+    second = second_moment_from_cov(ens, cov_matrix(ens))
     for w in range(1, ens.n + 1):
-        sm = second_moment_weight(ens, w, w).log2
-        assert sm >= 2 * avg_weight(ens, w).log2 - 1e-10
+        assert second[w, w] >= 2 * avg_weight(ens, w).log2 - 1e-10
 
 
 def test_random_specialization_via_generic_path():
@@ -124,25 +123,6 @@ def test_random_specialization_via_generic_path():
                     assert generic.is_zero and closed.is_zero
                 else:
                     assert generic.isclose(closed, rel_tol=1e-12)
-
-
-def test_joint_pass_matches_exact_rational():
-    for m, n, k in [(1, 2, Fraction(1, 2)), (2, 5, 1), (3, 6, Fraction(3, 2))]:
-        ens = BernoulliEnsemble(m, n, float(k))
-        for w1 in range(n + 1):
-            for w2 in range(n + 1):
-                for v in range(max(0, w1 + w2 - n), min(w1, w2) + 1):
-                    exact = oracle.joint_pass_prob_exact(m, n, k, w1, w2, v)
-                    got = joint_pass_prob(ens, w1, w2, v).to_float()
-                    assert math.isclose(got, float(exact), rel_tol=1e-13)
-
-
-def test_joint_pass_overlap_domain():
-    ens = BernoulliEnsemble(2, 6, 1.5)
-    with pytest.raises(ValueError, match="overlap"):
-        joint_pass_prob(ens, 2, 2, 3)
-    with pytest.raises(ValueError, match="overlap"):
-        joint_pass_prob(ens, 5, 5, 1)  # w1 + w2 - n = 4 > 1
 
 
 def test_var_pu_from_cov_partition_independence():
@@ -273,11 +253,6 @@ def test_no_underflow_at_large_m():
     assert val.log2 < -1000.0 and math.isfinite(val.log2)
 
 
-def test_finite_n_exponent_sign():
-    ens = BernoulliEnsemble(50, 100, 4.0)
-    assert finite_n_exponent(ens, Bsc(0.3)) <= 0.0
-
-
 def _cov_weight_loop(ens, w1, w2):
     """log2 Cov(A_w1, A_w2) as the one-pair loop over v in Python floats,
     kept as the reference for the array kernel."""
@@ -372,8 +347,7 @@ def test_cov_weight_matches_mpmath_at_n2000():
 @pytest.mark.parametrize("k", ["sparse", "random", "1e-9"])
 def test_second_moments_match_exact_fractions(k):
     # Every pair of every shape up to 3x8, all pairs from one covariance
-    # matrix; each entry is also the single-pair function's value, bit for
-    # bit.
+    # matrix.
     for m in (1, 2, 3):
         for n in range(1, 9):
             kf = (Fraction(n, 4) if k == "sparse" else Fraction(n, 2)
@@ -383,25 +357,9 @@ def test_second_moments_match_exact_fractions(k):
             for a, b in zip(*np.triu_indices(n)):
                 a, b = int(a) + 1, int(b) + 1
                 assert got[a, b] == got[b, a]
-                assert got[a, b] == second_moment_weight(ens, b, a).log2
                 exact = second_moment_weight_exact(m, n, kf, a, b)
                 value = LogReal(float(got[a, b])).to_float()
                 assert abs(value - exact) <= 1e-13 * exact, (m, n, a, b)
-
-
-def test_second_moment_weight_matches_mpmath_at_n2000():
-    m, n, k = 1000, 2000, 4.0
-    ens = BernoulliEnsemble(m, n, k)
-    mpmath.mp.dps = 50
-    z = 1 - 2 * mpmath.mpf(k) / n
-    for w1, w2 in ((1, 2000), (3, 7), (500, 1500), (1000, 1000)):
-        total = mpmath.fsum(
-            mpmath.binomial(n, w1) * mpmath.binomial(w1, v)
-            * mpmath.binomial(n - w1, w2 - v)
-            * ((1 + z ** w1 + z ** w2 + z ** (w1 + w2 - 2 * v)) / 4) ** m
-            for v in range(max(0, w1 + w2 - n), min(w1, w2) + 1))
-        got = second_moment_weight(ens, w1, w2).log2
-        assert abs(got - float(mpmath.log(total, 2))) * math.log(2) <= 1e-12
 
 
 def test_cov_matrix_memory_is_bounded():

@@ -17,7 +17,8 @@ from udestats.montecarlo import (_BLOCK, CI_Z, SampleStats, SimConfig,
                                  estimate_pu_channel, estimate_pu_distribution,
                                  pu_report, sample_matrix, sample_pu_stats,
                                  worker_rng)
-from udestats.oracle import enumerate_ensemble
+
+from references import matrix_probs
 
 floats = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -119,7 +120,7 @@ def test_matrix_frequencies_chi_square():
     # B_{1,2,1/2}: empirical matrix frequencies vs the exact ensemble
     # probabilities, chi-square with 3 dof at significance 0.001
     ens = BernoulliEnsemble(1, 2, 0.5)
-    probs = enumerate_ensemble(1, 2, Fraction(1, 2)).matrix_probs
+    probs = matrix_probs(1, 2, Fraction(1, 2))
     samples = 100_000
     rng = worker_rng(3, 0)
     bits = rng.random((samples, 2)) < ens.p

@@ -1,9 +1,12 @@
 """Exhaustive exact-rational oracle."""
 
+import ast
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,19 +15,19 @@ import udestats.oracle as oracle
 from udestats.gf2 import BitVector
 from udestats.oracle import (EnsembleMoments, GuardExceededError,
                              _class_sums_cache, _column_classes, _plan,
-                             _weight_class_sums, brute_force_joint_pass,
-                             enumerate_ensemble, joint_pass_prob_exact,
+                             _weight_class_sums, enumerate_ensemble,
                              verify_closed_forms)
 from udestats.rational import RationalPoly
 
-from references import (avg_weight_exact, cov_weight_exact,
+from references import (avg_weight_exact, bernstein, brute_force_joint_pass,
+                        cov_weight_exact, joint_pass_prob_exact, matrix_probs,
                         second_moment_weight_exact)
 
 
 def test_worked_example_exact():
     mom = enumerate_ensemble(1, 2, Fraction(1, 2))
-    assert mom.matrix_probs == (Fraction(9, 16), Fraction(3, 16),
-                                Fraction(3, 16), Fraction(1, 16))
+    assert matrix_probs(1, 2, Fraction(1, 2)) == (
+        Fraction(9, 16), Fraction(3, 16), Fraction(3, 16), Fraction(1, 16))
     assert mom.e_aw == (1, Fraction(3, 2), Fraction(5, 8))
     assert mom.cov[1][1] == Fraction(3, 8)
     assert mom.cov[1][2] == Fraction(3, 16)
@@ -52,8 +55,9 @@ def test_typo_adjudication_exact():
 
 def test_probabilities_sum_to_one():
     for m, n, k in [(1, 2, Fraction(1, 2)), (2, 2, 1), (3, 2, Fraction(3, 4))]:
-        mom = enumerate_ensemble(m, n, k)
-        assert sum(mom.matrix_probs) == 1
+        assert sum(matrix_probs(m, n, k)) == 1
+        # A_0 = 1 for every matrix, so E[A_0] is their total probability.
+        assert enumerate_ensemble(m, n, k).e_aw[0] == 1
 
 
 def test_moment_bounds_exact():
@@ -295,6 +299,32 @@ def test_guards(monkeypatch):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
 
 
+@pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
+def test_digit_limit_is_checked_on_printed_integers(m, n):
+    # b = 3^281 is coprime to 10, so the up-front bound on Var[P_U]'s
+    # denominator stays under the limit; its 10^2n factor does not.
+    k = Fraction(n, 3 ** 281)
+    bound = oracle._var_pu_denominator_bound(m, n, 3 ** 281)
+    assert len(str(bound)) <= sys.get_int_max_str_digits()
+    with pytest.raises(GuardExceededError, match="int-to-str"):
+        verify_closed_forms(m, n, k)
+
+
+def test_oracle_imports_nothing_from_gf2():
+    # The oracle adjudicates gf2's enumerators, so it shares no code with
+    # them.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            assert source not in (".gf2", "udestats.gf2"), source
+            assert not (source in (".", "udestats") and "gf2" in names)
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("udestats.gf2")
+                       for a in node.names)
+
+
 def test_memory_limit_refuses_before_allocating():
     tracemalloc.start()
     try:
@@ -380,7 +410,7 @@ def _bernstein_sum(counts, n):
     acc = RationalPoly()
     for w in range(1, n + 1):
         if counts[w]:
-            acc = acc + RationalPoly.bernstein(w, n) * counts[w]
+            acc = acc + bernstein(w, n) * counts[w]
     return acc
 
 
@@ -409,15 +439,9 @@ def _reference_moments(m, n, k):
             by_total[w1 + w2] += e_awaw[w1][w2]
     e_pu = _bernstein_sum(e_aw, n)
     e_pu2 = _bernstein_sum(by_total, 2 * n)
-    matrix_probs = None
-    if mn <= 12:
-        matrix_probs = tuple(p ** t.bit_count()
-                             * (1 - p) ** (mn - t.bit_count())
-                             for t in range(1 << mn))
     return EnsembleMoments(
         m, n, k, tuple(e_aw), tuple(map(tuple, e_awaw)),
-        tuple(map(tuple, cov)), e_pu, e_pu2, e_pu2 - _product(e_pu, e_pu),
-        matrix_probs)
+        tuple(map(tuple, cov)), e_pu, e_pu2, e_pu2 - _product(e_pu, e_pu))
 
 
 @pytest.mark.parametrize("m, n", SMALL_SHAPES + [
