@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -364,6 +365,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): not an error to report.
+        # Point stdout at devnull so the interpreter's last flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, EnumerationBudgetError,
             oracle_mod.GuardExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,16 +174,10 @@ def _row_space_counts(rows: np.ndarray, kraw: np.ndarray) -> np.ndarray:
     return scaled >> m
 
 
-# udebench/oraclewl.py's _cold clears this cache by name, through
-# getattr(oracle, "_class_sums_cache", None): if it is renamed or replaced,
-# every oracle-verify benchmark item silently runs warm.
-_class_sums_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _weight_class_sums(m: int, n: int) -> np.ndarray:
     """Sums of A_w1 A_w2 over all matrices, grouped by total ones count;
-    k-independent, so cached across ensembles of the same shape.  A_0 = 1,
-    so s2[:, 0] holds the sums of A_w.
+    k-independent, as `_numerators` weights them by k.  A_0 = 1, so
+    s2[:, 0] holds the sums of A_w.
 
     A matrix's code and its ones count depend only on the multiset of its
     columns, and also only on the multiset of its rows.  Each multiset of
@@ -193,41 +187,37 @@ def _weight_class_sums(m: int, n: int) -> np.ndarray:
     the rows).  Classes run in order of ones count, so each block adds
     its outer products A A^T to s2 in one reduceat.
     """
-    key = (m, n)
-    if key not in _class_sums_cache:
-        by_rows, row_space = _plan(m, n)
-        classes, mult = (_column_classes(n, m) if by_rows
-                         else _column_classes(m, n))
-        ones = np.bitwise_count(classes).sum(axis=1, dtype=np.intp)
-        order = np.argsort(ones, kind="stable")
-        # One class per column from here, so each numpy call runs along
-        # the classes.
-        classes, mult, ones = classes[order].T, mult[order], ones[order]
-        if row_space:
-            kraw = _krawtchouk(n)
-        else:
-            wt_x = np.bitwise_count(np.arange(1 << n))
-            by_wt = [wt_x == w for w in range(n + 1)]
-        s2 = np.zeros((m * n + 1, n + 1, n + 1), dtype=np.int64)
-        cells = max(1 << (m if row_space else n), (n + 1) ** 2)
-        block = max(1, _BLOCK_CELLS // cells)
-        for lo in range(0, len(ones), block):
-            vecs = classes[:, lo:lo + block]
-            if by_rows != row_space:
-                vecs = _transpose(vecs, n if by_rows else m)
-            counts = (_row_space_counts(vecs, kraw) if row_space
-                      else _parity_counts(vecs, by_wt))
-            # The first class of each ones count in the block.
-            t = ones[lo:lo + block]
-            first = np.empty(len(t), dtype=bool)
-            first[0] = True
-            np.not_equal(t[1:], t[:-1], out=first[1:])
-            first = first.nonzero()[0]
-            weighted = counts * mult[lo:lo + block]
-            s2[t[first]] += np.add.reduceat(
-                weighted[:, None] * counts, first, axis=2).transpose(2, 0, 1)
-        _class_sums_cache[key] = s2
-    return _class_sums_cache[key]
+    by_rows, row_space = _plan(m, n)
+    classes, mult = _column_classes(n, m) if by_rows else _column_classes(m, n)
+    ones = np.bitwise_count(classes).sum(axis=1, dtype=np.intp)
+    order = np.argsort(ones, kind="stable")
+    # One class per column from here, so each numpy call runs along
+    # the classes.
+    classes, mult, ones = classes[order].T, mult[order], ones[order]
+    if row_space:
+        kraw = _krawtchouk(n)
+    else:
+        wt_x = np.bitwise_count(np.arange(1 << n))
+        by_wt = [wt_x == w for w in range(n + 1)]
+    s2 = np.zeros((m * n + 1, n + 1, n + 1), dtype=np.int64)
+    cells = max(1 << (m if row_space else n), (n + 1) ** 2)
+    block = max(1, _BLOCK_CELLS // cells)
+    for lo in range(0, len(ones), block):
+        vecs = classes[:, lo:lo + block]
+        if by_rows != row_space:
+            vecs = _transpose(vecs, n if by_rows else m)
+        counts = (_row_space_counts(vecs, kraw) if row_space
+                  else _parity_counts(vecs, by_wt))
+        # The first class of each ones count in the block.
+        t = ones[lo:lo + block]
+        first = np.empty(len(t), dtype=bool)
+        first[0] = True
+        np.not_equal(t[1:], t[:-1], out=first[1:])
+        first = first.nonzero()[0]
+        weighted = counts * mult[lo:lo + block]
+        s2[t[first]] += np.add.reduceat(
+            weighted[:, None] * counts, first, axis=2).transpose(2, 0, 1)
+    return s2
 
 
 def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray,

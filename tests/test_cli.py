@@ -70,19 +70,40 @@ def test_oracle_report(capsys):
     assert by_name["e_pu_eps1_coeff"]["status"] == "MISMATCH_WITH_PAPER"
 
 
-def test_module_entry_point():
-    # From a checkout with no install, `python -m udestats` is the CLI.
+def module_env():
+    """The environment for `python -m udestats` from a checkout with no
+    install, where a numpy warning is an error."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return env
+
+
+def test_module_entry_point():
+    # From a checkout with no install, `python -m udestats` is the CLI.
     res = subprocess.run([sys.executable, "-m", "udestats", "oracle",
-                          "--m", "1", "--n", "2", "--k", "1/2"], env=env,
-                         capture_output=True, text=True, timeout=120)
+                          "--m", "1", "--n", "2", "--k", "1/2"],
+                         env=module_env(), capture_output=True, text=True,
+                         timeout=120)
     assert res.returncode == 0, res.stderr
     _, rows = parse_csv(res.stdout)
     assert rows[-1][0] == "overall" and rows[-1][5] == "PASS"
+
+
+def test_closed_output_pipe_is_silent():
+    # `udestats growth ... | head -1`: 760 KB of rows, more than a pipe
+    # holds, so the run writes to the closed pipe; it exits 1, silently.
+    proc = subprocess.Popen([sys.executable, "-m", "udestats", "growth",
+                             "--rate", "0.5", "--points", "20000"],
+                            env=module_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.readline() == b"l,growth_rate\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_oracle_csv(capsys):
@@ -179,7 +200,11 @@ def test_k_accepts_rational_and_decimal(capsys):
 
 
 def test_domain_errors_exit_nonzero(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_class_sums_cache", {})
+    # Every shape the oracle enumerates passes through _weight_class_sums.
+    enumerated = []
+    sums = oracle._weight_class_sums
+    monkeypatch.setattr(oracle, "_weight_class_sums",
+                        lambda m, n: enumerated.append((m, n)) or sums(m, n))
     cases = [
         ("avg-pu", "--m", "2", "--n", "4", "--k", "2", "--eps", "0.7"),
         ("awd", "--m", "2", "--n", "4", "--k", "3"),
@@ -229,7 +254,7 @@ def test_domain_errors_exit_nonzero(capsys, monkeypatch):
         assert err.strip().startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert named.get(argv, "") in err
-    assert (2, 4) not in oracle._class_sums_cache
+    assert (2, 4) not in enumerated
 
 
 @pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])

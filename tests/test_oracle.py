@@ -14,9 +14,8 @@ import pytest
 import udestats.oracle as oracle
 from udestats.gf2 import BitVector
 from udestats.oracle import (EnsembleMoments, GuardExceededError,
-                             _class_sums_cache, _column_classes, _plan,
-                             _weight_class_sums, enumerate_ensemble,
-                             verify_closed_forms)
+                             _column_classes, _plan, _weight_class_sums,
+                             enumerate_ensemble, verify_closed_forms)
 from udestats.rational import RationalPoly
 
 from references import (avg_weight_exact, bernstein, brute_force_joint_pass,
@@ -176,7 +175,6 @@ def test_class_sums_match_per_matrix_reference(m, n, monkeypatch):
             continue
         monkeypatch.setattr(oracle, "_plan",
                             lambda m, n: (by_rows, row_space))
-        monkeypatch.setattr(oracle, "_class_sums_cache", {})
         s2 = _weight_class_sums(m, n)
         assert s2.dtype == np.int64
         assert np.array_equal(s2[:, 0], r1), (by_rows, row_space)
@@ -194,10 +192,21 @@ def test_row_space_remainder_is_checked(monkeypatch):
         return k
 
     monkeypatch.setattr(oracle, "_krawtchouk", off_by_one)
-    monkeypatch.setattr(oracle, "_class_sums_cache", {})
     assert _plan(2, 4) == (False, True)
     with pytest.raises(ArithmeticError):
         _weight_class_sums(2, 4)
+
+
+def test_each_report_enumerates(monkeypatch):
+    # The oracle keeps no state: a second report at the same shape, at
+    # another k, enumerates the classes again.
+    calls = []
+    classes = oracle._column_classes
+    monkeypatch.setattr(oracle, "_column_classes",
+                        lambda m, n: calls.append((m, n)) or classes(m, n))
+    for k in (1, 2):
+        assert verify_closed_forms(2, 4, k)["status"] == "PASS"
+    assert len(calls) == 2
 
 
 # 64x1 and 32x2 are the tallest shapes the int64 guard lets through with
@@ -212,7 +221,6 @@ def test_multiplicities_count_every_matrix(m, n):
     assert len(classes) == math.comb((1 << bits) + k - 1, k)
     assert (np.diff(classes.astype(np.int64), axis=1) >= 0).all()
     assert sum(map(int, mult)) == 1 << (m * n)
-    _class_sums_cache.pop((m, n), None)
     s2 = _weight_class_sums(m, n)
     # A_0 = 1: row t counts the C(mn, t) matrices with t ones, and the
     # rows sum to 2^(mn)
@@ -325,6 +333,16 @@ def test_oracle_imports_nothing_from_gf2():
                        for a in node.names)
 
 
+def test_package_has_no_assert_statements():
+    # python -O compiles asserts out, so every cross-check in the package
+    # raises explicitly.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(oracle.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 def test_memory_limit_refuses_before_allocating():
     tracemalloc.start()
     try:
@@ -339,7 +357,6 @@ def test_memory_limit_refuses_before_allocating():
 
 @pytest.mark.parametrize("m, n", [(4, 5), (2, 16), (1, 20), (16, 1), (3, 12)])
 def test_class_sums_memory_is_bounded(m, n):
-    _class_sums_cache.pop((m, n), None)
     tracemalloc.start()
     try:
         _weight_class_sums(m, n)
@@ -383,9 +400,8 @@ def test_report_values_are_enumerate_ensembles_fractions(m, n):
 
 
 def test_verify_memory_is_bounded():
-    # A cold report at 1x22, the widest verified shape; the peak before
+    # A report at 1x22, the widest verified shape; the peak before
     # the report read the numerators directly was 0.56 MiB.
-    _class_sums_cache.pop((1, 22), None)
     tracemalloc.start()
     try:
         verify_closed_forms(1, 22, Fraction(11, 2))
