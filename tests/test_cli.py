@@ -224,7 +224,8 @@ def test_domain_errors_exit_nonzero(capsys, monkeypatch):
     named = {
         sim + ("--seed", "-1"): "seed must be in [0, 2^128)",
         sim + ("--seed", str(2**128)): "seed must be in [0, 2^128)",
-        # 2^70 codewords and 2^30 row-space words: fails at the first matrix
+        # about 2^50 codewords once the zero columns are factored out, and
+        # 2^30 row-space words: fails at the first matrix
         ("sim", "--m", "30", "--n", "100", "--k", "5", "--eps", "0.05",
          "--samples", "2"): "--channel-trials",
         # exact as a Fraction, but 0 as a float
@@ -335,6 +336,36 @@ def test_exact_pu_refuses_over_the_budget(capsys, tmp_path, monkeypatch):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "2^28" in err
+
+
+def test_sim_factors_out_zero_columns(capsys):
+    # A full-rank B(30, 60, 4) matrix holds 2^30 codewords and 2^30
+    # row-space words, but its about 8 zero columns take the code within
+    # the budget
+    code, out, err = run_cli(capsys, "sim", "--m", "30", "--n", "60", "--k",
+                             "4", "--eps", "0.1", "--samples", "3",
+                             "--seed", "0")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert rows[0][6] == "exact" and 0 < float(rows[0][1]) < 1
+
+
+def test_pu_is_at_most_its_bound(capsys, tmp_path):
+    # Counts past 2^53 are summed in log domain, about n ulps off each;
+    # every word a codeword must give exactly 1 - (1 - eps)^n, not above 1.
+    bound = {n: -math.expm1(n * math.log1p(-0.1)) for n in (3000, 5000)}
+    path = tmp_path / "zero.txt"
+    path.write_text("1 3000\n" + "0" * 3000 + "\n")
+    code, out, _ = run_cli(capsys, "exact-pu", "--matrix", str(path),
+                           "--eps", "0.1")
+    assert code == 0
+    pu = float(parse_csv(out)[1][0][1])
+    assert pu <= 1 and pu == bound[3000]
+    code, out, _ = run_cli(capsys, "sim", "--m", "1", "--n", "5000", "--k",
+                           "1", "--eps", "0.1", "--samples", "2")
+    assert code == 0
+    mean = float(parse_csv(out)[1][0][1])
+    assert mean <= 1 and mean == bound[5000]
 
 
 def test_sim_determinism(capsys):

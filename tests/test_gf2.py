@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udestats import gf2
+from udestats import BernoulliEnsemble, gf2
 from udestats.gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
                           MatrixFormatError, nullspace_basis, pu_from_weights,
                           pu_polynomial, rank, undetected_error_prob,
                           weight_distribution)
+from udestats.montecarlo import sample_matrix, worker_rng
 
 
 @st.composite
@@ -21,6 +22,17 @@ def small_matrices(draw):
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 8))
     rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(m))
+    return BitMatrix(m, n, rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    # at most two ones a row, so most matrices have zero columns
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 8))
+    rows = tuple(sum({1 << j for j in draw(st.lists(st.integers(0, n - 1),
+                                                     max_size=2))})
+                 for _ in range(m))
     return BitMatrix(m, n, rows)
 
 
@@ -67,8 +79,8 @@ def test_total_codewords_vs_rank(h):
     assert wd.total() == 1 << (h.n - rank(h))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_matrices(), sparse_matrices()))
 # rank 2 < n - 2: the row-space path, with a dependent third row
 @example(BitMatrix.from_strings(["110100101100", "011011000111",
                                  "101111101011"]))
@@ -111,7 +123,7 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_budget_counts_the_smaller_side(monkeypatch):
-    # 2^12 codewords, but a row space of one word
+    # 2^12 codewords, all from zero columns, and a row space of one word
     monkeypatch.setattr(gf2, "ENUM_BUDGET_LOG2", 10)
     wd = weight_distribution(BitMatrix(1, 12, (0,)))
     assert wd.counts == tuple(math.comb(12, w) for w in range(13))
@@ -135,6 +147,60 @@ def _row_space_weights(rows, n):
             x ^= rows[(step & -step).bit_length() - 1]
         b[x.bit_count()] += 1
     return b
+
+
+def test_sparse_matrices_against_macwilliams():
+    # B(12, 24, 2): a column is zero with probability (11/12)^12 = 0.35
+    ens = BernoulliEnsemble(12, 24, 2.0)
+    rng = worker_rng(1224, 0)
+    for _ in range(20):
+        h = sample_matrix(ens, rng)
+        rows, pivots = gf2._reduced_echelon(list(h.rows), h.n)
+        r = len(pivots)
+        b = _row_space_weights(rows[:r], h.n)
+        a = [sum(bj * sum((-1) ** i * math.comb(j, i)
+                          * math.comb(h.n - j, w - i) for i in range(w + 1))
+                 for j, bj in enumerate(b)) / Fraction(2 ** r)
+             for w in range(h.n + 1)]
+        assert list(weight_distribution(h).counts) == a
+
+
+# Columns 6..9 are zero: rank 4, a 6-dimensional code, of which the 4 unit
+# vectors e_6..e_9 are factored out and 2 basis words are enumerated.
+_FOUR_ZERO_COLUMNS = BitMatrix(4, 10, (0b010001, 0b100010, 0b110100,
+                                       0b011000))
+
+
+def _spy_histogram(monkeypatch):
+    sizes = []
+    real = gf2._weight_histogram
+
+    def spy(basis, n):
+        sizes.append(len(basis))
+        return real(basis, n)
+    monkeypatch.setattr(gf2, "_weight_histogram", spy)
+    return sizes
+
+
+def test_zero_columns_are_not_enumerated(monkeypatch):
+    sizes = _spy_histogram(monkeypatch)
+    wd = weight_distribution(_FOUR_ZERO_COLUMNS)
+    assert sizes == [2]
+    assert list(wd.counts) == brute_force_weights(_FOUR_ZERO_COLUMNS)
+
+
+def test_budget_counts_the_code_without_zero_columns(monkeypatch):
+    # min(r, n - r) = 4 is over a budget of 2^3; min(r, n - r - z0) = 2
+    monkeypatch.setattr(gf2, "ENUM_BUDGET_LOG2", 3)
+    assert (list(weight_distribution(_FOUR_ZERO_COLUMNS).counts)
+            == brute_force_weights(_FOUR_ZERO_COLUMNS))
+    # rank 5 of n = 14 with 4 zero columns: 2^5 words on either side
+    h = BitMatrix(5, 14, tuple((1 << i) | (1 << (5 + i)) for i in range(5)))
+    sizes = _spy_histogram(monkeypatch)
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"2\^5 codewords \(with the 4 zero columns"):
+        weight_distribution(h)
+    assert sizes == []
 
 
 # d > 16 walks past the low block; n = 65 and 255 have byte weights over
