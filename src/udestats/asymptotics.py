@@ -6,18 +6,19 @@ sparse Bernoulli family the objective is not concave, so every 1-D sup
 (the error exponent and the covariance growth rate) goes through
 `_sup_rows`: a global grid scan, then a zoom refinement of every local
 top together with any extra bracket (the exponent's geometric tail);
-the exponent's l -> 0+ limit is compared last.
+the exponent's l -> 0+ limit is compared last.  The Var[P_U] growth rate
+is one sup over the simplex of parity-row states; its best grid points
+are refined by the same zoom, on 3-D boxes.
 
-Every objective takes arrays: a grid scan evaluates equal chunks of at
-most _GRID_CHUNK + 1 points per call (a grid of _GRID_CHUNK steps in one
-call), and each refinement call samples _ZOOM_POINTS evenly spaced points
-of every live bracket and narrows each bracket 64x around its best point.
-The Var[P_U] growth rate is one sup over the simplex of parity-row
-states; its best grid points are refined alike, on 3-D boxes.  Ranges
-are checked by the types that own them: eps by `Bsc`, R and k by
-`RatePoint`, the grid by `OptimizerConfig`.  Every zoom narrows its
-brackets and boxes to the fixed width _REFINE_TOL.  Public functions
-return Python floats for float arguments.
+There is one zoom, `_zoom`, in d dimensions: each call of the objective
+samples every live box at a fixed number of points per axis, 127 in 1-D
+and 7 in 3-D, and shrinks each box around its best point, 64x or 4x,
+until it is _REFINE_TOL wide.  Every objective takes arrays; a call
+from `_grid_tops` or `_zoom` takes at most _GRID_CHUNK + 1 points.
+Ranges are checked by the types that own them: eps by `Bsc`, R and k by
+`RatePoint`, the grid by `OptimizerConfig`, a normalized weight by
+`GrowthRate`; the probes of a sup are not checked again.  Public
+functions return Python floats for float arguments.
 
 The covariance growth rate's entropy term h(l1) + l1 h(v / l1) +
 (1 - l1) h((l2 - v) / (1 - l1)) carries each scale prefactor; it is
@@ -35,27 +36,24 @@ import numpy as np
 from .ensemble import Bsc
 
 _TINY = np.finfo(float).tiny
-# Width at which a zoom bracket or box is done (relative to its point for
-# the exponent's geometric tail), and the cap on zoom calls.
+# Width at which a zoom box is done (relative to its point for the
+# exponent's geometric tail), and the cap on zoom calls.
 _REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 200
-# Interior points per bracket and call of _zoom_refine.  A constant, so an
-# interval's result does not depend on the others; 127 narrows a bracket
-# 64x per call.  A call on a few hundred points costs about what one on 15
+# Interior points per box axis and zoom call.  A constant, so a box's
+# result does not depend on the others.  In 1-D, 127 narrows a bracket
+# 64x per call; a call on a few hundred points costs about what one on 15
 # does, so error_exponent takes 6 zoom calls, not 12.  255 points (128x,
-# 5 calls) measured no faster: each call then costs more.
+# 5 calls) measured no faster: each call then costs more.  In 3-D, 7 per
+# axis make 343 points a box, 4x narrower per call.
 _ZOOM_POINTS = 127
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS + 2) / (_ZOOM_POINTS + 1)
-# Interior points per box axis and call of _box_zoom: 343 a box, 4x
-# narrower per call.
 _BOX_POINTS = 7
-_BOX_STEPS = np.arange(_BOX_POINTS + 2) / (_BOX_POINTS + 1)
 # A grid scan evaluates equal chunks of at most _GRID_CHUNK + 1 points
 # per objective call, so a grid of _GRID_CHUNK steps is one call; a zoom
-# call takes up to _ZOOM_BRACKETS brackets.  The temporaries stay in cache,
-# and their memory is bounded whatever the number of brackets.
+# call takes at most _ZOOM_CELLS points.  The temporaries stay in cache,
+# and their memory is bounded whatever the number of boxes.
 _GRID_CHUNK = 1 << 12
-_ZOOM_BRACKETS = (_GRID_CHUNK + 1) // _ZOOM_POINTS
+_ZOOM_CELLS = _GRID_CHUNK + 1
 # A grid wider than _GRID_CHUNK is built at once, at about 38 bytes a
 # point; 2^21 points take about 100 MB.
 _MAX_GRID_POINTS = 1 << 21
@@ -96,14 +94,24 @@ def _scalar(x):
 class GrowthRate:
     """A growth-rate curve on (0, 1] plus its explicit limit at 0+.
 
-    fn takes a float or an array of normalized weights.
+    fn takes a float or an array of normalized weights and does not check
+    them; a call checks that they lie in [0, 1].
     """
 
     fn: Callable
     limit0: float
 
     def __call__(self, l):
+        _unit(l, "normalized weight")
         return _scalar(self.fn(l))
+
+
+def _unit(x, what: str):
+    """x as a float array, checked to lie in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError(f"{what} outside [0, 1]: {x}")
+    return x
 
 
 def _xlog2x(t):
@@ -112,19 +120,24 @@ def _xlog2x(t):
     return t * np.log2(np.maximum(t, _TINY))
 
 
+def _entropy(x):
+    """h(x) for x in [0, 1], unchecked: there t log2 t needs no clip
+    below 0."""
+    y = 1.0 - x
+    return -(x * np.log2(np.maximum(x, _TINY))
+             + y * np.log2(np.maximum(y, _TINY)))
+
+
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0; x is a
     float or an array."""
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= 1.0)).all():
-        raise ValueError(f"entropy argument outside [0, 1]: {x}")
-    return _scalar(-(_xlog2x(x) + _xlog2x(1.0 - x)))
+    return _scalar(_entropy(_unit(x, "entropy argument")))
 
 
 def growth_rate_random(R: float) -> GrowthRate:
     """f(l) = h(l) - (1 - R) for the random family."""
     RatePoint(R)
-    return GrowthRate(lambda l: binary_entropy(l) - (1.0 - R), -(1.0 - R))
+    return GrowthRate(lambda l: _entropy(l) - (1.0 - R), -(1.0 - R))
 
 
 def growth_rate_bernoulli(R: float, k: float) -> GrowthRate:
@@ -132,7 +145,7 @@ def growth_rate_bernoulli(R: float, k: float) -> GrowthRate:
     RatePoint(R, k)
 
     def f(l):
-        return binary_entropy(l) + (1.0 - R) * (
+        return _entropy(l) + (1.0 - R) * (
             np.log1p(np.exp(-2.0 * k * l)) / math.log(2.0) - 1.0)
 
     return GrowthRate(f, 0.0)
@@ -147,61 +160,45 @@ def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
                       f.limit0 + l1e)
 
 
-def _zoom_refine(fn, a, b, tol):
-    """Maximization on every interval [a_i, b_i] down to width tol_i;
-    returns the argmax array (bracket midpoints).
+def _zoom(fn, lo, hi, tol, points):
+    """Maximization on every box [lo_i, hi_i] (rows of d coordinates)
+    down to sides <= tol_i; returns the box midpoints, shape (boxes, d).
 
-    Each call of fn samples _ZOOM_POINTS evenly spaced interior points of
-    every live bracket in a block of up to _ZOOM_BRACKETS, and each
-    bracket shrinks to the two neighbours of its first best point, 64x
-    narrower.  A bracket is done at width <= tol_i, when its width stops
-    shrinking (float resolution), or after _REFINE_MAX_ITER calls.  No
-    probe leaves its bracket, and an interval's result does not depend on
-    which others share the call.
+    The one zoom, in d dimensions.  Each call fn(x_1, ..., x_d) samples
+    `points` evenly spaced interior points per axis of every live box, in
+    blocks of at most _ZOOM_CELLS points, and each box shrinks on every
+    axis to the neighbours of its first best point.  A box is done when
+    every side is <= tol_i, when no side shrank (float resolution), or
+    after _REFINE_MAX_ITER calls.  No probe leaves its box, and a box's
+    result does not depend on which others share the call.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    tol = np.broadcast_to(tol, a.shape)
-    todo = np.flatnonzero(b - a > tol)
-    for s in range(0, len(todo), _ZOOM_BRACKETS):
-        live = todo[s:s + _ZOOM_BRACKETS]
+    box = np.array([lo, hi], dtype=float).transpose(1, 0, 2)
+    d = box.shape[2]
+    tol = np.full(len(box), tol)[:, None]
+    # The fractions of its box at which each probe lies per axis (middle),
+    # and those of its neighbours below and above.
+    frac = (np.indices((points,) * d).reshape(d, -1).T[:, None]
+            + np.arange(3)[:, None]) / (points + 1)
+    probes, around = frac[:, 1], frac[:, ::2]
+    todo = (box[:, 1] - box[:, 0] > tol).any(1).nonzero()[0]
+    block = _ZOOM_CELLS // len(frac)
+    for s in range(0, len(todo), block):
+        live = todo[s:s + block]
         for _ in range(_REFINE_MAX_ITER):
             if not len(live):
                 break
-            lo, hi = a[live, None], b[live, None]
-            # np.clip, without its Python wrapper's cost
-            xs = np.minimum(np.maximum(lo + _ZOOM_STEPS * (hi - lo), lo), hi)
-            ys = fn(xs[:, 1:-1].ravel()).reshape(len(live), -1)
-            top, r = np.argmax(ys, axis=1), np.arange(len(live))
-            a[live], b[live] = xs[r, top], xs[r, top + 2]
-            width = b[live] - a[live]
-            live = live[(width < (hi - lo)[:, 0]) & (width > tol[live])]
-    return 0.5 * (a + b)
-
-
-def _box_zoom(fn, lo, hi, tol):
-    """Maximization on every 3-D box [lo_i, hi_i] (rows of coordinates),
-    all boxes together; returns the box midpoints.
-
-    Each call of fn(x, y, z) samples _BOX_POINTS interior points per axis
-    of every box, and each box shrinks on every axis to the neighbours of
-    its first best point.  After at least one call, the zoom stops when
-    every side is <= tol, when no box shrinks (float resolution), or after
-    _REFINE_MAX_ITER calls.  No probe leaves its box.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    at = np.indices((_BOX_POINTS,) * 3).reshape(3, -1).T + 1
-    for _ in range(_REFINE_MAX_ITER):
-        width = hi - lo
-
-        def probe(i):
-            return np.clip(lo[:, None] + _BOX_STEPS[i] * width[:, None],
-                           lo[:, None], hi[:, None])
-        ys = fn(*probe(at).reshape(-1, 3).T).reshape(len(lo), -1)
-        top = at[np.argmax(ys, axis=1), None]
-        lo, hi = probe(top - 1)[:, 0], probe(top + 1)[:, 0]
-        if not ((hi - lo > tol).any() and (hi - lo < width).any()):
-            break
-    return 0.5 * (lo + hi)
+            cur = box.take(live, 0)
+            lo, hi = cur[:, :1], cur[:, 1:]
+            width = hi - lo
+            # lo + f width >= lo for f, width >= 0; only hi needs a clip:
+            # lo + (hi - lo) can round above hi.
+            xs = np.minimum(lo + probes * width, hi)
+            top = fn(*xs.reshape(-1, d).T).reshape(len(live), -1).argmax(1)
+            box[live] = cur = np.minimum(lo + around[top] * width, hi)
+            side = cur[:, 1] - cur[:, 0]
+            live = live[((side < width[:, 0]).any(1)
+                         & (side > tol.take(live, 0)).any(1))]
+    return 0.5 * (box[:, 0] + box[:, 1])
 
 
 def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
@@ -234,8 +231,8 @@ def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0))):
     refined tops, the refined extra brackets; the first of the largest
     value wins."""
     x0, y0, (a, b) = _grid_tops(fn, lo, hi, cfg)
-    x = _zoom_refine(fn, *np.append(
-        [a, b, np.full(len(a), _REFINE_TOL)], extra, axis=1))
+    a, b, tol = np.append([a, b, np.full(len(a), _REFINE_TOL)], extra, axis=1)
+    x = _zoom(fn, a[:, None], b[:, None], tol, _ZOOM_POINTS)[:, 0]
     cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
     top = int(np.argmax(cy))
     return float(cy[top]), float(cx[top])
@@ -247,7 +244,8 @@ def error_exponent(f: GrowthRate, eps: float,
     """sup over l in (0, 1] of the exponent objective.
 
     Returns (value, argmax); argmax is 0.0 when the l -> 0+ boundary
-    limit wins.
+    limit wins.  For both families the objective is -D(l || eps) plus a
+    term <= 0, so the value is capped at 0.0 against rounding.
     """
     g = exponent_objective(f, eps)
     lo = 1.0 / cfg.grid_points
@@ -260,7 +258,7 @@ def error_exponent(f: GrowthRate, eps: float,
     tx = float(tail[np.argmax(g.fn(tail))])
     value, x = _sup_rows(g.fn, lo, 1.0, cfg, [
         [tx / 2.0], [min(tx * 2.0, 1.0)], [_REFINE_TOL * tx]])
-    return (value, x) if value >= g.limit0 else (g.limit0, 0.0)
+    return (min(value, 0.0), x) if value >= g.limit0 else (g.limit0, 0.0)
 
 
 def _inner_sup_closed(R: float, a, b):
@@ -361,6 +359,6 @@ def var_pu_growth_rate(rp: RatePoint, eps: float) -> float:
         xs, ys = np.vstack([xs, x]), np.append(ys, f(*np.sqrt(x.T)))
         top = np.argsort(ys)[-_SIMPLEX_TOPS:]
         xs, ys = xs[top], ys[top]
-    t = _box_zoom(f, np.sqrt(np.maximum(xs - 1.0 / n, 0.0)),
-                  np.sqrt(np.minimum(xs + 1.0 / n, 1.0)), _REFINE_TOL)
+    t = _zoom(f, np.sqrt(np.maximum(xs - 1.0 / n, 0.0)),
+              np.sqrt(np.minimum(xs + 1.0 / n, 1.0)), _REFINE_TOL, _BOX_POINTS)
     return float(max(ys.max(), f(*t.T).max()))

@@ -37,6 +37,44 @@ def test_growth_rate_random_values():
     assert math.isclose(f(1.0), -0.5, rel_tol=1e-15)
 
 
+def test_growth_rates_check_their_argument():
+    # The curves evaluate the entropy unchecked; a call checks l itself.
+    for f, l in [(growth_rate_bernoulli(0.5, 20.0), 1.5),
+                 (growth_rate_random(0.5), -0.1),
+                 (exponent_objective(growth_rate_random(0.5), 0.1),
+                  np.array([0.5, 1.5]))]:
+        with pytest.raises(ValueError, match="outside"):
+            f(l)
+
+
+def test_growth_rates_are_their_entropy_formula():
+    # Bit for bit, on a grid with 0, 1 and the exponent's tail points.
+    tail = 0.5 ** np.arange(1, 64) / 4096
+    l = np.concatenate([tail, np.arange(4097) / 4096])
+    for R in (0.3, 0.9):
+        assert np.array_equal(growth_rate_random(R).fn(l),
+                              binary_entropy(l) - (1.0 - R))
+        for k in (1e-300, 20.0):
+            assert np.array_equal(
+                growth_rate_bernoulli(R, k).fn(l),
+                binary_entropy(l) + (1.0 - R) * (
+                    np.log1p(np.exp(-2.0 * k * l)) / math.log(2.0) - 1.0))
+
+
+def test_error_exponent_skips_the_checked_entropy(monkeypatch):
+    # A sup's probes lie in (0, 1] by construction, so error_exponent
+    # never pays for binary_entropy's range check.
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return binary_entropy(x)
+    monkeypatch.setattr(asy, "binary_entropy", spy)
+    for f in (growth_rate_random(0.5), growth_rate_bernoulli(0.5, 20.0)):
+        error_exponent(f, 0.1, FAST)
+    assert calls == []
+
+
 def test_growth_rate_bernoulli_values():
     f = growth_rate_bernoulli(0.5, 20.0)
     assert f.limit0 == 0.0
@@ -81,9 +119,9 @@ def test_zoom_refine_max():
             assert ((a[i] <= t) & (t <= b[i])).all()  # no probe leaves [a, b]
             calls.append(len(t))
             return -((t - p[i]) / p[i]) ** 2
-        x = asy._zoom_refine(fn, [a[i]], [b[i]], tol[i])
-        assert x.shape == (1,)
-        assert abs(x[0] - want[i]) <= max(tol[i], 1e-15), i
+        x = asy._zoom(fn, [[a[i]]], [[b[i]]], tol[i], asy._ZOOM_POINTS)
+        assert x.shape == (1, 1)
+        assert abs(x[0, 0] - want[i]) <= max(tol[i], 1e-15), i
         assert len(calls) < asy._REFINE_MAX_ITER
 
 
@@ -100,7 +138,7 @@ def test_box_zoom():
         calls.append(len(x))
         r = np.stack([x, y, z], axis=-1) - p
         return -((r * r).sum(axis=-1) + 50.0 * (r @ d) ** 2)
-    x = asy._box_zoom(fn, lo, hi, 1e-10)
+    x = asy._zoom(fn, lo, hi, 1e-10, asy._BOX_POINTS)
     assert x.shape == lo.shape
     assert np.abs(x[0] - p).max() < 1e-10
     # the sup of the second box is its corner (0.5, 0.5, 0.4)
@@ -110,7 +148,7 @@ def test_box_zoom():
     assert list(grid[np.argmax(fn(*grid.T))]) == [0.5, 0.5, 0.4]
     assert np.abs(x[1] - [0.5, 0.5, 0.4]).max() < 1e-10
     calls.clear()
-    tiny = asy._box_zoom(fn, [[1e-9] * 3], [[2e-9] * 3], 0.0)
+    tiny = asy._zoom(fn, [[1e-9] * 3], [[2e-9] * 3], 0.0, asy._BOX_POINTS)
     # fn rises toward (lo, hi, lo), by less than its rounding within 1e-15
     # of that corner
     assert np.abs(tiny[0] - [1e-9, 2e-9, 1e-9]).max() < 1e-15
@@ -325,10 +363,11 @@ def test_zoom_refine_replays_the_loop(calls):
     tol = [1e-10, 1e-10, 1e-18, 1e-12, 1e-10, 0.0]
     expect = [_zoom_loop(one, *t) for t in zip(a, b, tol)]
     if calls == "batched":
-        x = list(asy._zoom_refine(g.fn, a, b, tol))
+        x = list(asy._zoom(g.fn, np.c_[a], np.c_[b], tol,
+                           asy._ZOOM_POINTS)[:, 0])
     else:
-        x = [asy._zoom_refine(g.fn, [t[0]], [t[1]], [t[2]])[0]
-             for t in zip(a, b, tol)]
+        x = [asy._zoom(g.fn, [[t[0]]], [[t[1]]], [t[2]],
+                       asy._ZOOM_POINTS)[0, 0] for t in zip(a, b, tol)]
     assert x == expect
 
 
@@ -382,12 +421,12 @@ def test_a_plateau_is_one_bracket(monkeypatch):
     # Tied grid points are one local top: a constant objective on a 2^16
     # step grid hands the zoom one bracket, not one per point.
     brackets = []
-    zoom = asy._zoom_refine
+    zoom = asy._zoom
 
-    def spy(fn, a, b, tol):
-        brackets.append(len(a))
-        return zoom(fn, a, b, tol)
-    monkeypatch.setattr(asy, "_zoom_refine", spy)
+    def spy(fn, lo, hi, tol, points):
+        brackets.append(len(lo))
+        return zoom(fn, lo, hi, tol, points)
+    monkeypatch.setattr(asy, "_zoom", spy)
     monkeypatch.setattr(asy, "_REFINE_TOL", 1e-30)
     cfg = OptimizerConfig(grid_points=1 << 16)
     assert asy._sup_rows(np.ones_like, 0.0, 1.0, cfg) == (1.0, 0.0)
@@ -471,16 +510,21 @@ def test_cov_growth_rate_pinned(l1, l2, value):
 
 
 def test_zoom_memory_is_bounded_whatever_the_brackets():
-    # Each call takes at most _ZOOM_BRACKETS brackets, however many there
-    # are; 1000 brackets here.
+    # Each call takes at most _ZOOM_CELLS points, however many brackets
+    # or boxes there are; 1000 brackets, then 40 3-D boxes.
     sizes = []
 
-    def fn(x):
-        sizes.append(len(x))
-        return -(x - 0.3) ** 2
-    a = np.linspace(0.0, 0.5, 1000)
-    x = asy._zoom_refine(fn, a, a + 0.5, 1e-6)
-    assert max(sizes) <= asy._ZOOM_BRACKETS * asy._ZOOM_POINTS <= 4097
+    def fn(*x):
+        sizes.append(len(x[0]))
+        return -sum((t - 0.3) ** 2 for t in x)
+    a = np.linspace(0.0, 0.5, 1000)[:, None]
+    x = asy._zoom(fn, a, a + 0.5, 1e-6, asy._ZOOM_POINTS)
+    assert max(sizes) <= asy._ZOOM_CELLS <= 4097
+    assert np.allclose(x, np.clip(0.3, a, a + 0.5), atol=1e-6)
+    sizes.clear()
+    a = np.repeat(np.linspace(0.0, 0.5, 40)[:, None], 3, axis=1)
+    x = asy._zoom(fn, a, a + 0.5, 1e-6, asy._BOX_POINTS)
+    assert max(sizes) <= asy._ZOOM_CELLS
     assert np.allclose(x, np.clip(0.3, a, a + 0.5), atol=1e-6)
 
 

@@ -57,6 +57,16 @@ def test_no_k_is_the_random_family(capsys, k, f):
         f(i / 8) for i in range(1, 9)]
 
 
+def test_exponent_is_never_positive(capsys):
+    # At k = 1e-300 the objective is -D(l || eps) up to rounding; its sup
+    # 0 at l = eps used to print as 1.4e-16.
+    code, out, _ = run_cli(capsys, "exponent", "--rate", "0.5", "--k",
+                           "1e-300", "--eps", "0.1")
+    assert code == 0
+    value, at = (float(v) for v in parse_csv(out)[1][0][1:])
+    assert value <= 0.0 and math.isclose(at, 0.1, abs_tol=1e-6)
+
+
 def test_oracle_report(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--m", "1", "--n", "2",
                            "--k", "1/2", "--json")
