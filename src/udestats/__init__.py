@@ -9,8 +9,7 @@ from .ensemble import (BernoulliEnsemble, Bsc, avg_pu, avg_weight,
                        cov_matrix, cov_weight, var_pu)
 from .gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
                   MatrixFormatError, WeightDistribution, nullspace_basis,
-                  pu_polynomial, rank, undetected_error_prob,
-                  weight_distribution)
+                  pu_polynomial, undetected_error_prob, weight_distribution)
 from .logreal import LogReal
 from .montecarlo import (SampleStats, SimConfig, estimate_pu_distribution,
                          sample_matrix, sample_pu_stats)
@@ -30,7 +29,7 @@ __all__ = [
     "cov_matrix", "cov_weight", "enumerate_ensemble", "error_exponent",
     "estimate_pu_distribution", "exponent_objective",
     "growth_rate_bernoulli", "growth_rate_random", "nullspace_basis",
-    "pu_polynomial", "rank", "sample_matrix", "sample_pu_stats",
+    "pu_polynomial", "sample_matrix", "sample_pu_stats",
     "undetected_error_prob", "var_pu", "var_pu_growth_rate",
     "verify_closed_forms", "weight_distribution",
 ]

@@ -317,8 +317,13 @@ _SIMPLEX_TOPS = 20
 
 
 def var_pu_growth_rate(rp: RatePoint, eps: float) -> float:
-    """Growth rate of Var[P_U] for the sparse family, as a sup over the
-    states of the parity rows.
+    """Growth rate of Var[P_U]: for the random family (k None) in closed
+    form, for the sparse family as a sup over the states of the parity
+    rows.
+
+    For the random family, Var[P_U] = (1 - 2^-m) 2^-m ((eps^2 +
+    (1-eps)^2)^n - (1-eps)^(2n)), and eps^2 + (1-eps)^2 > (1-eps)^2, so
+    the rate is -(1-R) + log2(eps^2 + (1-eps)^2).
 
     One row h gives Pr(hx = 0, hy = 0) = (1 + z^|x| + z^|y| + z^|x+y|)/4
     with z = 1 - 2k/n; Pr(hx = 0) Pr(hy = 0) has z^(|x|+|y|) last.  Split
@@ -335,9 +340,9 @@ def var_pu_growth_rate(rp: RatePoint, eps: float) -> float:
     together by a box zoom on the roots until each box is _REFINE_TOL
     wide, which also resolves a sup next to a face.
     """
-    if rp.k is None:
-        raise ValueError("var_pu_growth_rate needs the sparse parameter k")
     Bsc(eps)
+    if rp.k is None:
+        return -(1.0 - rp.R) + math.log2(eps * eps + (1.0 - eps) ** 2)
     R, c = rp.R, 2.0 * rp.k * (1.0 - rp.R)
     q0, q1, q2 = (1.0 - eps) ** 2, eps * (1.0 - eps), eps ** 2
 

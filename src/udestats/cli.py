@@ -159,7 +159,8 @@ def _cmd_cov_exponent(args) -> None:
 
 
 def _cmd_var_exponent(args) -> None:
-    rp = asy.RatePoint(args.rate, float(_parse_k(args.k)))
+    rp = asy.RatePoint(args.rate, None if args.k is None
+                       else float(_parse_k(args.k)))
     rows = [[eps, asy.var_pu_growth_rate(rp, eps)] for eps in args.eps]
     _emit(args, ["eps", "var_pu_growth_rate"], rows)
 
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("var-exponent",
                        help="variance growth rate of P_U")
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--k", required=True)
+    p.add_argument("--k", default=None,
+                   help="Bernoulli row weight; omit for the random family")
     p.add_argument("--eps", type=float, nargs="+", required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_var_exponent)

@@ -3,23 +3,32 @@
 Rows are bit-packed into Python integers (bit j of a row = column j), so
 XOR-based elimination and word enumeration are cheap for n up to a few
 thousand.  Weight distributions are exact integer counts.  One reduced
-echelon form gives the rank r and the z0 zero columns of H.  A zero
-column j puts e_j in the code, apart from every other codeword, so the
-weight enumerator factors as (1 + z)^z0 times that of the code on the
-other columns (MacWilliams & Sloane 1977, ch. 1).  Then whichever side is
-smaller is enumerated: the 2^(n - r - z0) codewords of that code, or the
-2^r words of the row space, whose weights B_j give the A_w through the
-exact integer MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n)
-(MacWilliams & Sloane 1977, ch. 5).  The cost 2^min(r, n - r - z0) is
-bounded by the fixed budget 2^ENUM_BUDGET_LOG2, checked before anything
-is enumerated.  The enumeration does about 5e8 words/s at n <= 64 and
-3e8 at n = 100 on one x86-64 core, so 2^28 words take about a second,
-and each step of the exponent doubles that.  `_weight_histogram`
-enumerates by an in-place Gray walk over a numpy block.
+echelon form, by rows, gives the rank r and, through one transpose, the
+pivot part of every column.  Equal columns of H form classes, read off
+those parts.  A codeword's bits on a class of e equal columns matter only
+through their parity, so the class contributes ((1 + z)^e + (1 - z)^e)/2
+to the weight enumerator when its parity is even and ((1 + z)^e -
+(1 - z)^e)/2 when it is odd (MacWilliams & Sloane 1977, ch. 1 and 5).
+The zero class always contributes (1 + z)^z0.  So the code with one
+coordinate per nonzero class, 2^(n' - r) words when H has n' distinct
+nonzero columns, is enumerated instead of the code.  Each class parity
+that varies over it is a top Gray bit of the enumeration, or a parity of
+such bits; a class whose top bit would leave Gray runs of fewer than
+2^13 words, or more than 2^10 runs, keeps its columns.  Then whichever
+side is smaller is enumerated: that code, or the 2^r words of the row
+space, whose weights B_j give the A_w through the exact integer
+MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n) (MacWilliams &
+Sloane 1977, ch. 5).  The cost 2^min(r, n' - r) is bounded by the fixed
+budget 2^ENUM_BUDGET_LOG2, checked before anything is enumerated.  The
+enumeration does about 5e8 words/s at n <= 64 and 3e8 at n = 100 on one
+x86-64 core, so 2^28 words take about a second, and each step of the
+exponent doubles that.  `_weight_histogram` enumerates by an in-place
+Gray walk over a numpy block.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -36,7 +45,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when 2^min(rank, n - rank) words would exceed the budget."""
+    """Raised when the codewords left once equal columns are factored out
+    and the row-space words both exceed the budget."""
 
 
 class MatrixFormatError(ValueError):
@@ -128,49 +138,61 @@ class BitMatrix:
         return cls.from_strings(body[:m])
 
 
-def _reduced_echelon(rows: list[int], n: int) -> tuple[list[int], list[int]]:
-    """In-place RREF over GF(2); returns (rows, pivot_cols)."""
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if (rows[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivot_cols.append(col)
-        r += 1
-    return rows, pivot_cols
+def _reduced_echelon(rows) -> list[int]:
+    """The r nonzero rows of the RREF over GF(2), in increasing pivot
+    order.  Row by row: each row is reduced by the pivot rows so far, then
+    pivots on its lowest set bit, which is XORed out of the pivot rows
+    that hold it.  Each row's lowest set bit is its pivot column, and the
+    RREF is unique, so these are the rows that column-by-column
+    elimination gives."""
+    pivot_rows = {}
+    pivots = 0
+    for x in rows:
+        t = x & pivots
+        while t:
+            low = t & -t
+            x ^= pivot_rows[low]
+            t ^= low
+        if x:
+            low = x & -x
+            for p, y in pivot_rows.items():
+                if y & low:
+                    pivot_rows[p] = y ^ x
+            pivot_rows[low] = x
+            pivots |= low
+    return [pivot_rows[p] for p in sorted(pivot_rows)]
 
 
-def rank(h: BitMatrix) -> int:
-    """GF(2) row rank."""
-    _, pivots = _reduced_echelon(list(h.rows), h.n)
-    return len(pivots)
-
-
-def _nullspace_bits(rows: list[int], pivot_cols: list[int], n: int
-                    ) -> list[int]:
-    """Nullspace basis, bit-packed, from an RREF and its pivot columns."""
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        x = 1 << free
-        for j, col in enumerate(pivot_cols):
-            if (rows[j] >> free) & 1:
-                x |= 1 << col
-        basis.append(x)
-    return basis
+def _column_parts(rows: list[int], n: int) -> list[int]:
+    """The pivot part of each column of the RREF rows: bit j is set when
+    row j holds the column.  A pivot column's part is its own row bit, a
+    zero column's is 0, and the nullspace word of a free column f is f
+    plus the pivot columns of its part.  The columns are read off with one
+    transpose in numpy; rows are padded to whole 64-bit words, so a part
+    of up to 64 rows is one uint64."""
+    nbytes = (n + 7) // 8
+    pad = 64 * max(1, -(-len(rows) // 64))
+    data = (b"".join(x.to_bytes(nbytes, "little") for x in rows)
+            + bytes((pad - len(rows)) * nbytes))
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(
+        pad, nbytes), axis=1, count=n, bitorder="little")
+    cols = np.ascontiguousarray(
+        np.packbits(bits, axis=0, bitorder="little").T)
+    if pad == 64:
+        return cols.view("<u8")[:, 0].tolist()
+    return [int.from_bytes(c.tobytes(), "little") for c in cols]
 
 
 def nullspace_basis(h: BitMatrix) -> list[BitVector]:
-    """n - rank(H) independent vectors spanning {x : H x^t = 0}."""
-    rows, pivot_cols = _reduced_echelon(list(h.rows), h.n)
-    return [BitVector(h.n, x) for x in _nullspace_bits(rows, pivot_cols, h.n)]
+    """n - rank(H) independent vectors spanning {x : H x^t = 0}, one per
+    free column in increasing order."""
+    rows = _reduced_echelon(h.rows)
+    pivots = [x & -x for x in rows]
+    used = functools.reduce(operator.or_, pivots, 0)
+    return [BitVector(h.n, (1 << c) | sum(p for j, p in enumerate(pivots)
+                                          if q >> j & 1))
+            for c, q in enumerate(_column_parts(rows, h.n))
+            if not used >> c & 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,9 +212,10 @@ class WeightDistribution:
         return sum(self.counts)
 
 
-def _int_to_words(x: int, words: int) -> np.ndarray:
-    return np.array([(x >> (64 * j)) & _MASK64 for j in range(words)],
-                    dtype=np.uint64)
+def _word_rows(bits: list[int], words: int) -> np.ndarray:
+    """(len(bits), words) uint64: each int split into 64-bit words."""
+    return np.array([x >> (64 * j) & _MASK64 for x in bits
+                     for j in range(words)], dtype=np.uint64).reshape(-1, words)
 
 
 # The combinations of the low-order basis words are materialized in one
@@ -203,41 +226,62 @@ def _int_to_words(x: int, words: int) -> np.ndarray:
 _LOW_BLOCK_LOG2 = 16
 
 
-def _weight_histogram(basis_bits: list[int], n: int) -> list[int]:
-    """Weight counts of all 2^d combinations of the d basis words."""
+def _weight_histogram(basis_bits: list[int], n: int, tops: int = 0
+                      ) -> np.ndarray:
+    """Weight counts of all 2^d combinations of the d basis words, as a
+    (2^tops, n + 1) int64 array.  The last `tops` words are the top Gray
+    bits: row t counts the combinations whose coefficient on the i-th of
+    them is bit i of t.  The words may use any bits, so long as each
+    combination's weight is at most n."""
     d = len(basis_bits)
-    words = (n + 63) // 64
-    low_d = min(d, _LOW_BLOCK_LOG2)
-    arr = np.zeros((words, 1 << low_d), dtype=np.uint64)
+    used = functools.reduce(operator.or_, basis_bits, 0)
+    words = max(1, (used.bit_length() + 63) // 64)
+    low_d = min(d - tops, _LOW_BLOCK_LOG2)
+    vecs = _word_rows(basis_bits, words)[:, :, None]
+    arr = np.empty((words, 1 << low_d), dtype=np.uint64)
+    arr[:, 0] = 0
     size = 1
-    for b in basis_bits[:low_d]:
-        np.bitwise_xor(arr[:, :size], _int_to_words(b, words)[:, None],
-                       out=arr[:, size:2 * size])
+    for v in vecs[:low_d]:
+        np.bitwise_xor(arr[:, :size], v, out=arr[:, size:2 * size])
         size *= 2
     ones = np.empty(arr.shape, dtype=np.uint8)
-    # Weights are at most n, so they are summed in the smallest type that
-    # holds n: bytes up to n = 255, and no wrap-around for any n.
+    # Weights are at most the number of bits the words use, so they are
+    # summed in the smallest type that holds it: bytes up to 255, and no
+    # wrap-around for any n.
+    top_w = used.bit_count()
     w = ones[0] if words == 1 else np.empty(
-        1 << low_d, dtype=np.min_scalar_type(n))
-    # Byte weights are read in (even, odd) pairs, one uint16 key each: the
-    # joint histogram has 256 (n + 1) bins, and its two marginals add up
-    # to the weight counts.
-    paired = w.dtype == np.uint8 and low_d > 0
-    keys = w.view(np.uint16) if paired else w
-    bins = 256 * (n + 1) if paired else n + 1
-    hist = np.zeros(bins, dtype=np.int64)
-    high = [_int_to_words(b, words)[:, None] for b in basis_bits[low_d:]]
+        1 << low_d, dtype=np.min_scalar_type(top_w))
+    # Byte weights are read in (even, odd) pairs, one uint16 key each,
+    # when the block holds at least as many pairs as the joint histogram has
+    # bins, 256 (top_w + 1).  A run's joint histogram is folded when the run
+    # ends: its two marginals add up to the weight counts.
+    pairs = w.dtype == np.uint8 and 1 << low_d >= 512 * (top_w + 1)
+    keys = w.view(np.uint16) if pairs else w
+    bins = 256 * (top_w + 1) if pairs else top_w + 1
+    counts = np.zeros((1 << tops, n + 1), dtype=np.int64)
+    run = np.zeros(bins, dtype=np.int64)
+    high = vecs[low_d:]
+    # Step s walks the Gray code s ^ (s >> 1) of the high words.  Its top
+    # `tops` bits, the coefficients of the top words, are constant over
+    # each run of 2^shift steps.
+    shift = d - low_d - tops
+    last = (1 << shift) - 1
     for step in range(1 << (d - low_d)):
         if step:
             arr ^= high[(step & -step).bit_length() - 1]
         np.bitwise_count(arr, out=ones)
         if words > 1:
             np.add.reduce(ones, axis=0, dtype=w.dtype, out=w)
-        hist += np.bincount(keys, minlength=bins)
-    if paired:
-        joint = hist.reshape(n + 1, 256)
-        hist = joint.sum(axis=1) + joint.sum(axis=0)[:n + 1]
-    return [int(c) for c in hist]
+        top = counts[(step ^ (step >> 1)) >> shift, :top_w + 1]
+        if not pairs:
+            top += np.bincount(keys, minlength=bins)
+            continue
+        run += np.bincount(keys, minlength=bins)
+        if step & last == last:
+            joint = run.reshape(top_w + 1, 256)
+            top += joint.sum(axis=1) + joint.sum(axis=0)[:top_w + 1]
+            run[:] = 0
+    return counts
 
 
 # Columns are cached one by one, so a large n holds only the columns of
@@ -268,46 +312,156 @@ def _macwilliams(row_space_counts: list[int], n: int, r: int) -> list[int]:
     return counts
 
 
-def _times_one_plus_z_power(hist: list[int], z0: int) -> list[int]:
-    """Coefficients of hist(z) (1 + z)^z0, dropping the top z0 entries,
-    which are zero."""
-    binom = [1]
-    for i in range(z0):
-        binom.append(binom[i] * (z0 - i) // (i + 1))
-    counts = [0] * len(hist)
-    for w, c in enumerate(hist[:len(hist) - z0]):
-        if c:
-            for i, b in enumerate(binom, w):
-                counts[i] += c * b
-    return counts
+# A Gray run of _weight_histogram costs about as much in numpy calls, in
+# its fold and in its row of _class_sum as 2^13 words cost in popcounts
+# and bincounts, so a class takes a top Gray bit only while every run keeps
+# at least 2^13 words.  At most 2^10 runs keep the histogram's rows of
+# n + 1 counts within about the memory of the low block's 2^16 words.
+_RUN_WORDS_LOG2 = 13
+_MAX_TOPS = 10
+
+
+def _merged_code(parts: list[int], r: int
+                 ) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """The code to enumerate, from the pivot parts of the columns:
+    (basis, tops, merged).  The columns with one nonzero part q form a
+    class, which holds the pivot column q when q is one bit.  A merged
+    class is one coordinate: the pivot of row j at bit j, the c-th class
+    of free columns at bit r + c, whose word is that bit plus q.
+
+    Classes are merged largest first.  One whose bit is a parity of the
+    owned bits so far merges for free.  Otherwise a basis word is made to
+    own its bit, as a top Gray bit that halves each Gray run, if the runs
+    keep at least 2^_RUN_WORDS_LOG2 words, there are at most 2^_MAX_TOPS
+    of them, and the fully merged code is no larger than the row space.
+    Merging leaves the dimension as it is and an unmerged class only
+    raises it, so the runs of the final plan are no shorter.  An unmerged
+    class keeps its e columns: each of the other e - 1 gets a spare
+    coordinate past the classes, and a word of it and the class
+    coordinate.  The basis ends with its `tops` owner words, and no
+    word holds a merged coordinate.  `merged` has one (e, mask) per merged
+    class: its bit is the parity of the owner coefficients in mask."""
+    sizes = collections.Counter(parts)
+    sizes.pop(0, None)
+    words = []
+    multi = []
+    for q, e in sizes.items():
+        if q & (q - 1):
+            rep = 1 << (r + len(words))
+            words.append(rep | q)
+        else:
+            rep = q
+        if e > 1:
+            multi.append((e, rep))
+    hopeless = len(words) > r
+    multi.sort(reverse=True)
+    # The dimension of the code once the classes left are merged.
+    dim = len(words)
+    spare = 1 << (r + dim)
+    owners, evens, merged_reps = [], [], []
+    dropped = 0
+    for e, rep in multi:
+        i = next((i for i, w in enumerate(words) if w & rep), None)
+        if i is not None:
+            if hopeless or len(owners) >= min(dim - _RUN_WORDS_LOG2,
+                                              _MAX_TOPS):
+                for _ in range(e - 1):
+                    evens.append(rep | spare)
+                    spare <<= 1
+                dim += e - 1
+                continue
+            w = words.pop(i)
+            words = [x ^ w if x & rep else x for x in words]
+            owners = [x ^ w if x & rep else x for x in owners]
+            owners.append(w)
+        merged_reps.append((e, rep))
+        dropped |= rep
+    merged = [(e, sum(1 << t for t, w in enumerate(owners) if w & rep))
+              for e, rep in merged_reps]
+    keep = ~dropped
+    return words + evens + [w & keep for w in owners], len(owners), merged
+
+
+@functools.lru_cache(maxsize=64)
+def _parity_polys(e: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """((1 + z)^e + (1 - z)^e) / 2 and ((1 + z)^e - (1 - z)^e) / 2: the
+    weights on a class of e equal columns with even and with odd parity."""
+    c = [math.comb(e, t) for t in range(e + 1)]
+    even = np.array([x if t % 2 == 0 else 0 for t, x in enumerate(c)], dtype)
+    odd = np.array([x if t % 2 else 0 for t, x in enumerate(c)], dtype)
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+def _class_sum(hist: np.ndarray, merged: list[tuple[int, int]],
+               columns: int, dtype) -> np.ndarray:
+    """The columns + 1 coefficients of sum_t H_t(z) prod_S P_S(z), where H_t
+    is row t of the histogram and P_S is the even or odd polynomial of
+    merged class S, as its bit is 0 or 1 in the combinations of row t.
+    The classes whose bit is always 0 make one polynomial, multiplied in
+    last."""
+    base = np.ones(1, dtype=dtype)
+    varying = []
+    for e, mask in merged:
+        even, odd = _parity_polys(e, dtype)
+        if mask:
+            varying.append((mask, even, odd))
+        else:
+            base = np.convolve(base, even)
+    width = columns + 2 - len(base) - sum(len(p) - 1 for _, p, _ in varying)
+    total = 0
+    for t, row in enumerate(hist):
+        poly = row[:width].astype(dtype, copy=False)
+        for mask, even, odd in varying:
+            poly = np.convolve(poly, odd if (t & mask).bit_count() & 1
+                               else even)
+        total = total + poly
+    return np.convolve(total, base)
 
 
 def weight_distribution(h: BitMatrix) -> WeightDistribution:
-    """Exact A_w of C(H).  The z0 zero columns of H are factored out: each
-    adds e_j to the code, so A(z) = (1 + z)^z0 A'(z), where A' is the code
-    on the other columns.  Then whichever of that code (2^(n - r - z0)
-    codewords) and the row space (2^r words, then MacWilliams) is smaller
-    is enumerated; ties enumerate the code.  ENUM_BUDGET_LOG2 bounds
-    min(r, n - r - z0)."""
-    rows, pivot_cols = _reduced_echelon(list(h.rows), h.n)
-    r = len(pivot_cols)
-    d = h.n - r
-    used = functools.reduce(operator.or_, rows[:r], 0)
-    z0 = h.n - used.bit_count()
-    if min(r, d - z0) > ENUM_BUDGET_LOG2:
+    """Exact A_w of C(H).  Equal columns of H are factored out by class
+    (see _merged_code): the z0 zero columns give (1 + z)^z0, and each
+    merged class of e columns gives its even or odd polynomial.  Then
+    whichever of the merged code (2^dim codewords, dim = n' - r when H has
+    n' distinct nonzero columns and every class is merged) and the row
+    space (2^r words, then MacWilliams) is smaller is enumerated; ties
+    enumerate the code.  ENUM_BUDGET_LOG2 bounds min(r, dim)."""
+    n = h.n
+    rows = _reduced_echelon(h.rows)
+    r = len(rows)
+    d = n - r
+    parts = _column_parts(rows, n)
+    z0 = parts.count(0)
+    basis, tops, merged = _merged_code(parts, r)
+    dim = len(basis)
+    if min(r, dim) > ENUM_BUDGET_LOG2:
         raise EnumerationBudgetError(
-            f"2^{d - z0} codewords (with the {z0} zero columns factored "
-            f"out) and 2^{r} row-space words both exceed the enumeration "
-            f"budget 2^{ENUM_BUDGET_LOG2}")
-    if r < d - z0:
-        counts = _macwilliams(_weight_histogram(rows[:r], h.n), h.n, r)
+            f"2^{dim} codewords (with the {z0} zero columns and "
+            f"{d - z0 - dim} dimensions of equal columns factored out) and "
+            f"2^{r} row-space words both exceed the enumeration budget "
+            f"2^{ENUM_BUDGET_LOG2}")
+    if r < dim:
+        counts = _macwilliams(_weight_histogram(rows, n)[0].tolist(), n, r)
     else:
-        # The basis words of the zero columns are their unit vectors; every
-        # other basis word lies inside `used`.
-        basis = [x for x in _nullspace_bits(rows, pivot_cols, h.n)
-                 if x & used]
-        counts = _times_one_plus_z_power(_weight_histogram(basis, h.n), z0)
-    wd = WeightDistribution(h.n, tuple(counts))
+        hist = _weight_histogram(basis, n, tops)
+        runs = hist.sum(axis=1).tolist()
+        if runs.count(1 << (dim - tops)) != len(runs):
+            raise ArithmeticError(f"a Gray run does not hold 2^{dim - tops} "
+                                  "words")
+        # Every partial sum is at most the final count: 2^(d - z0) before
+        # the zero columns are multiplied in, 2^d after.
+        counts = _class_sum(hist, merged, n - z0,
+                            np.int64 if d - z0 < 63 else object)
+        if z0:
+            binom = [1]
+            for i in range(z0):
+                binom.append(binom[i] * (z0 - i) // (i + 1))
+            dtype = np.int64 if d < 63 else object
+            counts = np.convolve(counts.astype(dtype),
+                                 np.array(binom, dtype=dtype))
+        counts = counts.tolist()
+    wd = WeightDistribution(n, tuple(counts))
     if wd.total() != 1 << d:
         raise ArithmeticError(f"{wd.total()} codewords counted, expected 2^{d}")
     return wd
@@ -326,6 +480,17 @@ def undetected_error_prob(h: BitMatrix, eps: float) -> float:
 _FLOAT_EXACT_INT = 1 << 53
 
 
+# A Monte Carlo run scores every matrix at the same few eps.
+@functools.lru_cache(maxsize=16)
+def _word_probs(n: int, eps: float) -> tuple[list[float], list[float]]:
+    """log eps^w (1-eps)^(n-w) = w log eps + (n - w) log1p(-eps) for
+    w = 0..n, and its exp."""
+    log_eps = math.log(eps)
+    log_1me = math.log1p(-eps)
+    logs = [w * log_eps + (n - w) * log_1me for w in range(n + 1)]
+    return logs, [math.exp(x) for x in logs]
+
+
 def pu_from_weights(counts, n: int, eps: float) -> float:
     """Evaluate the undetected error probability from known counts A_w.
 
@@ -333,16 +498,11 @@ def pu_from_weights(counts, n: int, eps: float) -> float:
     its exact upper bound 1 - (1 - eps)^n, reached when every word is a
     codeword.  Up to the few ulps of the bound itself, the cap only moves
     a value toward the truth."""
-    log_eps = math.log(eps)
-    log_1me = math.log1p(-eps)
-    terms = []
-    for w in range(1, n + 1):
-        c = counts[w]
-        if c:
-            log_p = w * log_eps + (n - w) * log_1me
-            terms.append(c * math.exp(log_p) if c < _FLOAT_EXACT_INT
-                         else math.exp(math.log(c) + log_p))
-    return min(math.fsum(terms), -math.expm1(n * log_1me))
+    logs, probs = _word_probs(n, eps)
+    terms = [c * probs[w] if c < _FLOAT_EXACT_INT
+             else math.exp(math.log(c) + logs[w])
+             for w, c in enumerate(counts[1:n + 1], 1) if c]
+    return min(math.fsum(terms), -math.expm1(n * math.log1p(-eps)))
 
 
 def pu_polynomial(h: BitMatrix) -> RationalPoly:

@@ -23,6 +23,12 @@ transform, over a Krawtchouk table built here from math.comb.  The
 module imports nothing from gf2, so neither route shares code with
 gf2's enumeration of the code or of the row space, and the test suite
 cross-checks the two.
+
+One closed-form sum lives here as a guard, not as an adjudicated value:
+`_var_pu_row_states` gives Var[P_U] at an eps point before anything is
+enumerated, only so that a report whose Var[P_U] would print past the
+interpreter's digit limit is refused early.  Every value a report prints
+still comes from the enumeration.
 """
 
 from __future__ import annotations
@@ -322,6 +328,46 @@ def _var_pu_denominator_bound(m: int, n: int, b: int) -> int:
     return low
 
 
+def _var_pu_row_states(m: int, n: int, k: Fraction, eps: Fraction
+                       ) -> Fraction:
+    """Var[P_U] at eps, exactly, summed over row states.  One Bernoulli row
+    h gives Pr(h x = 0, h y = 0) = (1 + z^|x| + z^|y| + z^|x+y|) / 4 with
+    z = 1 - 2k/n; its m-th power splits into multinomial states
+    (i, j, k', l), and over the BSC each state's sum over x and y factors
+    by coordinates into Q^n, where Q = R + eps^2 z^(j+k') (1 - z^(2l)) and
+    R = P_(j+l) P_(k'+l), P_a = 1 - eps + eps z^a.  The states with l = 0
+    make up E[P_U]^2, and the words x = 0 or y = 0 cancel, so
+    Var[P_U] = 4^-m sum over l >= 1 of (m; i, j, k', l) (Q^n - R^n)."""
+    z = 1 - 2 * k / n
+    total = Fraction(0)
+    for l in range(1, m + 1):
+        for j in range(m - l + 1):
+            for k2 in range(m - l - j + 1):
+                r = ((1 - eps + eps * z ** (j + l))
+                     * (1 - eps + eps * z ** (k2 + l)))
+                q = r + eps * eps * z ** (j + k2) * (1 - z ** (2 * l))
+                states = (math.comb(m, l) * math.comb(m - l, j)
+                          * math.comb(m - l - j, k2))
+                total += states * (q ** n - r ** n)
+    return total / 4 ** m
+
+
+def _check_var_pu_digits(m: int, n: int, k: Fraction) -> None:
+    """Refuse, before anything is enumerated, a report whose Var[P_U] at an
+    eps point would print past the digit limit.  Var[P_U] at eps = p/q is
+    at most 1, over the denominator q^2n b^2mn for p = a/b, so it is
+    computed, by _var_pu_row_states, only when that could pass 10^limit.
+    How much of q^2n survives reduction depends on the ensemble: at
+    (1, 4, 4/243) none of its twos do."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    b = (k / n).denominator
+    for eps in _EPS_POINTS:
+        top = eps.denominator ** (2 * n) * b ** (2 * m * n)
+        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+            var = _var_pu_row_states(m, n, k, eps)
+            _check_digits(m, n, var.numerator, var.denominator)
+
+
 def verify_closed_forms(m: int, n: int, k) -> dict:
     """Compare exhaustive-enumeration moments against the closed-form
     module on every overlapping quantity; a check passes within a relative
@@ -340,6 +386,7 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     k = _check_k(n, Fraction(k))
     _check_digits(m, n,
                   _var_pu_denominator_bound(m, n, (k / n).denominator))
+    _check_var_pu_digits(m, n, k)
     k, n2, cov_n, den = _numerators(m, n, k)
     analytic = BernoulliEnsemble(m, n, float(k))
     checks = []

@@ -1,8 +1,8 @@
 """Reference evaluations that only the tests use: the joint-pass
 probability by brute force over all rows and in closed form, each
 matrix's probability and the Bernstein polynomials, the closed forms of
-the weight moments, all in exact Fractions, and a numeric sup for the
-covariance growth rate's inner closed form."""
+the weight moments, all in exact Fractions, a numeric sup for the
+covariance growth rate's inner closed form, and the GF(2) rank."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,7 @@ import numpy as np
 
 from udestats.asymptotics import (OptimizerConfig, _scalar, _sup_rows,
                                   binary_entropy)
-from udestats.gf2 import BitVector
+from udestats.gf2 import BitMatrix, BitVector
 from udestats.oracle import GuardExceededError, _check_k
 from udestats.rational import RationalPoly
 
@@ -109,3 +109,20 @@ def inner_sup_grid(R: float, a: float, b: float, points: int = 4096) -> float:
     la, lb = math.log2(a), math.log2(b)
     return _sup_rows(lambda mu: scaled_entropy(c, mu) + mu * la
                      + (c - mu) * lb, 0.0, c, OptimizerConfig(points))[0]
+
+
+def rank(h: BitMatrix) -> int:
+    """GF(2) row rank, by column-by-column elimination."""
+    rows = list(h.rows)
+    r = 0
+    for col in range(h.n):
+        piv = next((i for i in range(r, len(rows)) if rows[i] >> col & 1),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> col & 1:
+                rows[i] ^= rows[r]
+        r += 1
+    return r

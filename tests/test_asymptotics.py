@@ -13,7 +13,8 @@ from udestats.asymptotics import (OptimizerConfig, RatePoint, _a_term,
                                   cov_growth_rate, error_exponent,
                                   exponent_objective, growth_rate_bernoulli,
                                   growth_rate_random, var_pu_growth_rate)
-from udestats.ensemble import BernoulliEnsemble, Bsc, cov_weight, var_pu
+from udestats.ensemble import (BernoulliEnsemble, Bsc, _var_pu_random_closed,
+                               cov_weight, var_pu)
 
 from references import inner_sup_grid, scaled_entropy
 
@@ -270,6 +271,17 @@ def test_var_pu_growth_rate_is_the_finite_n_limit():
                            Bsc(0.1)).log2 / n - lim) for n in (100, 200, 400)]
         assert gaps[0] > gaps[1] > gaps[2], R
         assert gaps[2] < 0.004, R
+
+
+@pytest.mark.parametrize("R, eps", [(0.5, 0.1), (0.5, 0.45), (0.25, 0.01),
+                                    (0.875, 0.3)])
+def test_random_var_pu_growth_rate_is_its_closed_form_limit(R, eps):
+    # (1/n) log2 Var[P_U] of the random family, from its closed form, at
+    # n = 2^20 with m = (1 - R) n rows exactly
+    n = 1 << 20
+    m = round((1 - R) * n)
+    finite = _var_pu_random_closed(m, n, eps).log2 / n
+    assert abs(var_pu_growth_rate(RatePoint(R), eps) - finite) < 1e-9
 
 
 @pytest.mark.parametrize("R, k, eps", [

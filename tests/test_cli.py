@@ -330,10 +330,11 @@ def test_exact_pu_bad_file(capsys, tmp_path):
 
 
 def test_exact_pu_refuses_over_the_budget(capsys, tmp_path, monkeypatch):
-    # Rows e_i + e_(29+i): rank 29 of n = 58, so the code and the row space
-    # both hold 2^29 words, over the budget of 2^28.
-    rows = ["0" * i + "1" + "0" * 28 + "1" + "0" * (28 - i)
-            for i in range(29)]
+    # Rows e_i + e_(29+i) + e_(29+(i-1 mod 29)): rank 29 of n = 58, with 58
+    # distinct nonzero columns, so the code and the row space both hold
+    # 2^29 words, over the budget of 2^28.
+    rows = ["".join("1" if c in (i, 29 + i, 29 + (i - 1) % 29) else "0"
+                    for c in range(58)) for i in range(29)]
     path = tmp_path / "h.txt"
     path.write_text("29 58\n" + "\n".join(rows) + "\n")
 
@@ -358,6 +359,63 @@ def test_sim_factors_out_zero_columns(capsys):
     assert code == 0, err
     _, rows = parse_csv(out)
     assert rows[0][6] == "exact" and 0 < float(rows[0][1]) < 1
+
+
+def test_sim_factors_out_equal_columns(capsys):
+    # B(40, 80, 3) has about 17 zero columns and 7 classes of equal
+    # columns per matrix; a matrix of seed 1 held 2^30 codewords with only
+    # the zero columns factored out, and 2^35 row-space words
+    code, out, err = run_cli(capsys, "sim", "--m", "40", "--n", "80", "--k",
+                             "3", "--eps", "0.05", "--samples", "20",
+                             "--seed", "1")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert rows[0][6] == "exact" and 0 < float(rows[0][1]) < 1
+
+
+# Exact-mode output at a fixed seed, as the enumeration gave it before any
+# class of equal columns other than the zero columns was factored out.
+_SIM_PINNED = {
+    ("20", "40", "20"): [
+        "0.01,4.9990811457980795e-11,1.3076284459439689e-11,"
+        "2.0518705831702068e-21,8.7492055640178453e-22,12,exact,31",
+        "0.050000000000000003,4.9243394756373078e-08,9.2216453989157905e-09,"
+        "1.0204649263601371e-15,4.35127706631513e-16,12,exact,31",
+        "0.10000000000000001,3.7884870127462844e-07,4.2259366964197568e-08,"
+        "2.1430249154576552e-14,9.1378889428698721e-15,12,exact,31"],
+    ("20", "40", "5"): [
+        "0.01,0.018930746279084986,0.003201139368634958,"
+        "0.00012296751908909541,5.2433526316534691e-05,12,exact,31",
+        "0.050000000000000003,0.020586557634946091,0.0035527371635275641,"
+        "0.00015146329623731859,6.4584166518756714e-05,12,exact,31",
+        "0.10000000000000001,0.0056865044131914249,0.0010042588976831182,"
+        "1.2102431202908541e-05,5.1604940042091865e-06,12,exact,31"],
+    ("16", "40", "5"): [
+        "0.01,0.031947192160064072,0.003474435418953719,"
+        "0.00014486041776576127,6.1768689678466594e-05,12,exact,31",
+        "0.050000000000000003,0.036766323008598029,0.0039528197625689444,"
+        "0.00018749740890426725,7.9949163786421183e-05,12,exact,31",
+        "0.10000000000000001,0.011139408763359017,0.0011659549181701049,"
+        "1.631341045446067e-05,6.9560615901882387e-06,12,exact,31"],
+    ("30", "60", "4"): [
+        "0.01,0.039708308078540241,0.0035363539705304567,"
+        "0.00015006959285863831,6.3989889401312974e-05,12,exact,31",
+        "0.050000000000000003,0.020642178719014463,0.002097157585813675,"
+        "5.2776839276830099e-05,2.250411988161019e-05,12,exact,31",
+        "0.10000000000000001,0.0022122541363430864,0.00026540839043459071,"
+        "8.4529936455696154e-07,3.6043686011697298e-07,12,exact,31"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SIM_PINNED))
+def test_exact_sim_output_is_pinned(capsys, shape):
+    m, n, k = shape
+    code, out, err = run_cli(capsys, "sim", "--m", m, "--n", n, "--k", k,
+                             "--eps", "0.01", "0.05", "0.1", "--samples",
+                             "12", "--seed", "31")
+    assert code == 0, err
+    assert out.splitlines() == ["eps,mean,mean_se,var,var_se,samples,mode,"
+                                "seed"] + _SIM_PINNED[shape]
 
 
 def test_pu_is_at_most_its_bound(capsys, tmp_path):
@@ -408,6 +466,25 @@ def test_sim_has_no_workers_option(capsys):
               "--samples", "20", "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_var_exponent_takes_the_random_family_without_k(capsys,
+                                                         monkeypatch):
+    code, out, _ = run_cli(capsys, "var-exponent", "--rate", "0.75",
+                           "--eps", "0.1", "0.3")
+    assert code == 0
+    _, rows = parse_csv(out)
+    for eps, value in rows:
+        eps = float(eps)
+        assert float(value) == -0.25 + math.log2(eps ** 2 + (1 - eps) ** 2)
+    seen = []
+    real = asymptotics.var_pu_growth_rate
+    monkeypatch.setattr(asymptotics, "var_pu_growth_rate",
+                        lambda rp, eps: seen.append(rp) or real(rp, eps))
+    code, out, _ = run_cli(capsys, *_VAR_EXPONENT)
+    assert code == 0 and seen == [asymptotics.RatePoint(0.5, 4.0)]
+    _, rows = parse_csv(out)
+    assert float(rows[0][1]) == real(asymptotics.RatePoint(0.5, 4.0), 0.1)
 
 
 _VAR_EXPONENT = ("var-exponent", "--rate", "0.5", "--k", "4", "--eps", "0.1")

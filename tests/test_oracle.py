@@ -318,6 +318,37 @@ def test_digit_limit_is_checked_on_printed_integers(m, n):
         verify_closed_forms(m, n, k)
 
 
+@pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
+def test_digit_limit_is_checked_before_enumerating(monkeypatch, m, n):
+    # Var[P_U] at eps = 1/10 prints a denominator of over 4300 digits:
+    # q^2n b^2mn could pass the limit, so it is computed from row states
+    # and refused before the enumeration starts.
+    def enumerated(*args):
+        raise AssertionError("enumerated past the digit limit")
+    monkeypatch.setattr(oracle, "_weight_class_sums", enumerated)
+    with pytest.raises(GuardExceededError, match="int-to-str"):
+        verify_closed_forms(m, n, Fraction(n, 3 ** 281))
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 4, Fraction(4, 243)),
+                                     (2, 3, Fraction(1)), (3, 2, 0.5),
+                                     (2, 4, Fraction(4, 3)),
+                                     (4, 3, Fraction(6, 5))])
+def test_var_pu_row_states_is_the_enumerated_variance(m, n, k):
+    report = verify_closed_forms(m, n, k)
+    for check in report["checks"]:
+        if check["name"].startswith("var_pu"):
+            eps = Fraction(check["name"][len("var_pu[eps="):-1])
+            assert (oracle._var_pu_row_states(m, n, Fraction(k), eps)
+                    == Fraction(check["oracle_value"]))
+
+
+def test_short_reports_skip_the_row_state_variance(monkeypatch):
+    # q^2n b^2mn is far below the digit limit, so nothing extra is computed
+    monkeypatch.setattr(oracle, "_var_pu_row_states", None)
+    assert verify_closed_forms(2, 3, Fraction(1, 7))["status"] == "PASS"
+
+
 def test_oracle_imports_nothing_from_gf2():
     # The oracle adjudicates gf2's enumerators, so it shares no code with
     # them.
