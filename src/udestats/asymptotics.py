@@ -2,19 +2,23 @@
 
 The error exponent of the average undetected error probability is the
 supremum over the normalized weight of (growth rate + BSC tilt).  For the
-sparse Bernoulli family the objective is not concave, so every 1-D sup
-(the error exponent and the covariance growth rate) goes through
-`_sup_rows`: a global grid scan, then a zoom refinement of every local
-top together with any extra bracket (the exponent's geometric tail);
-the exponent's l -> 0+ limit is compared last.  The Var[P_U] growth rate
-is one sup over the simplex of parity-row states; its best grid points
-are refined by the same zoom, on 3-D boxes.
+random family the growth rate is h(l) - (1 - R), the objective is
+-(1 - R) - D(l || eps), and the exponent is its closed form -(1 - R) at
+l = eps.  For the sparse Bernoulli family the objective is not concave,
+so every 1-D sup (the error exponent and the covariance growth rate)
+goes through `_sup_rows`: a global grid scan, then a zoom refinement of
+every local top together with the best point of the exponent's
+geometric tail below the grid, which is scanned in the grid's call; the
+exponent's l -> 0+ limit is compared last.  The Var[P_U] growth rate is
+one sup over the simplex of parity-row states; its best grid points are
+refined by the same zoom, on 3-D boxes.
 
 There is one zoom, `_zoom`, in d dimensions: each call of the objective
 samples every live box at a fixed number of points per axis, 127 in 1-D
 and 7 in 3-D, and shrinks each box around its best point, 64x or 4x,
 until it is _REFINE_TOL wide.  Every objective takes arrays; a call
-from `_grid_tops` or `_zoom` takes at most _GRID_CHUNK + 1 points.
+from `_zoom` takes at most _GRID_CHUNK + 1 points, and one from
+`_grid_tops` as many plus the tail (at most 63).
 Ranges are checked by the types that own them: eps by `Bsc`, R and k by
 `RatePoint`, the grid by `OptimizerConfig`, a normalized weight by
 `GrowthRate`; the probes of a sup are not checked again.  Public
@@ -27,6 +31,7 @@ evaluated as the entropy of the split (v, l1 - v, l2 - v, 1 - l1 - l2 + v).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -48,8 +53,9 @@ _REFINE_MAX_ITER = 200
 # axis make 343 points a box, 4x narrower per call.
 _ZOOM_POINTS = 127
 _BOX_POINTS = 7
-# A grid scan evaluates equal chunks of at most _GRID_CHUNK + 1 points
-# per objective call, so a grid of _GRID_CHUNK steps is one call; a zoom
+# A grid scan evaluates equal chunks of at most _GRID_CHUNK + 1 grid
+# points, and the tail points spread over them, per objective call, so a
+# grid of _GRID_CHUNK steps is one call; a zoom
 # call takes at most _ZOOM_CELLS points.  The temporaries stay in cache,
 # and their memory is bounded whatever the number of boxes.
 _GRID_CHUNK = 1 << 12
@@ -95,11 +101,13 @@ class GrowthRate:
     """A growth-rate curve on (0, 1] plus its explicit limit at 0+.
 
     fn takes a float or an array of normalized weights and does not check
-    them; a call checks that they lie in [0, 1].
+    them; a call checks that they lie in [0, 1].  h_offset is c when fn is
+    exactly h(l) + c, which gives `error_exponent` its closed form.
     """
 
     fn: Callable
     limit0: float
+    h_offset: Optional[float] = None
 
     def __call__(self, l):
         _unit(l, "normalized weight")
@@ -137,7 +145,8 @@ def binary_entropy(x):
 def growth_rate_random(R: float) -> GrowthRate:
     """f(l) = h(l) - (1 - R) for the random family."""
     RatePoint(R)
-    return GrowthRate(lambda l: _entropy(l) - (1.0 - R), -(1.0 - R))
+    return GrowthRate(lambda l: _entropy(l) - (1.0 - R), -(1.0 - R),
+                      -(1.0 - R))
 
 
 def growth_rate_bernoulli(R: float, k: float) -> GrowthRate:
@@ -160,6 +169,17 @@ def exponent_objective(f: GrowthRate, eps: float) -> GrowthRate:
                       f.limit0 + l1e)
 
 
+@functools.lru_cache(maxsize=None)
+def _zoom_fractions(points: int, d: int):
+    """The fractions of its box at which each of a zoom call's probes lies
+    per axis, shape (points^d, d), and those of its neighbours below and
+    above, shape (points^d, 2, d); built once per (points, d)."""
+    frac = (np.indices((points,) * d).reshape(d, -1).T[:, None]
+            + np.arange(3)[:, None]) / (points + 1)
+    frac.flags.writeable = False
+    return frac[:, 1], frac[:, ::2]
+
+
 def _zoom(fn, lo, hi, tol, points):
     """Maximization on every box [lo_i, hi_i] (rows of d coordinates)
     down to sides <= tol_i; returns the box midpoints, shape (boxes, d).
@@ -174,63 +194,76 @@ def _zoom(fn, lo, hi, tol, points):
     """
     box = np.array([lo, hi], dtype=float).transpose(1, 0, 2)
     d = box.shape[2]
-    tol = np.full(len(box), tol)[:, None]
-    # The fractions of its box at which each probe lies per axis (middle),
-    # and those of its neighbours below and above.
-    frac = (np.indices((points,) * d).reshape(d, -1).T[:, None]
-            + np.arange(3)[:, None]) / (points + 1)
-    probes, around = frac[:, 1], frac[:, ::2]
-    todo = (box[:, 1] - box[:, 0] > tol).any(1).nonzero()[0]
-    block = _ZOOM_CELLS // len(frac)
+    tol = np.broadcast_to(tol, len(box))
+    probes, around = _zoom_fractions(points, d)
+    todo = (box[:, 1] - box[:, 0] > tol[:, None]).any(1).nonzero()[0]
+    block = _ZOOM_CELLS // len(probes)
     for s in range(0, len(todo), block):
+        # The live boxes of a block, kept compact; a box is written back
+        # when it is done.
         live = todo[s:s + block]
+        cur, ltol = box[live], tol[live, None]
         for _ in range(_REFINE_MAX_ITER):
-            if not len(live):
-                break
-            cur = box.take(live, 0)
             lo, hi = cur[:, :1], cur[:, 1:]
             width = hi - lo
             # lo + f width >= lo for f, width >= 0; only hi needs a clip:
             # lo + (hi - lo) can round above hi.
             xs = np.minimum(lo + probes * width, hi)
             top = fn(*xs.reshape(-1, d).T).reshape(len(live), -1).argmax(1)
-            box[live] = cur = np.minimum(lo + around[top] * width, hi)
+            cur = np.minimum(lo + around[top] * width, hi)
             side = cur[:, 1] - cur[:, 0]
-            live = live[((side < width[:, 0]).any(1)
-                         & (side > tol.take(live, 0)).any(1))]
+            going = (side < width[:, 0]).any(1) & (side > ltol).any(1)
+            if not going.all():
+                box[live[~going]] = cur[~going]
+                live, cur, ltol = live[going], cur[going], ltol[going]
+                if not len(live):
+                    break
+        box[live] = cur
     return 0.5 * (box[:, 0] + box[:, 1])
 
 
-def _grid_tops(fn, lo, hi, cfg: OptimizerConfig):
-    """Grid scan of the objective fn on [lo, hi].
+def _grid_tops(fn, lo, hi, cfg: OptimizerConfig, tail=np.empty(0)):
+    """Grid scan of the objective fn on [lo, hi], with the points `tail`
+    evaluated in the same calls.
 
-    Returns the first grid maximum, (argmax, value), and the local tops of
-    the grid as brackets (a, b) of their two neighbours, in grid order.  A
-    top is above its left neighbour and not below its right one, so a run
-    of tied points is one top, its first point.  An interval with
-    hi <= lo is its point hi.
+    Returns the first grid maximum, (argmax, value), the local tops of the
+    grid as brackets (a, b) of their two neighbours, in grid order, and
+    the values at `tail`.  A top is above its left neighbour and not below
+    its right one, so a run of tied points is one top, its first point.
+    An interval with hi <= lo is its point hi.
     """
     if hi <= lo:
-        return hi, fn(np.array([hi]))[0], (np.empty(0), np.empty(0))
+        ys = fn(np.append(hi, tail))
+        return hi, ys[0], (np.empty(0), np.empty(0)), ys[1:]
     pts = cfg.grid_points
     xs = lo + np.arange(pts + 1) * ((hi - lo) / pts)
     parts = -(-len(xs) // (_GRID_CHUNK + 1))
-    ys = np.concatenate([fn(c) for c in np.array_split(xs, parts)])
+    probes = np.append(xs, tail) if len(tail) else xs
+    ys = (fn(probes) if parts == 1 else
+          np.concatenate([fn(c) for c in np.array_split(probes, parts)]))
+    ys, tail_ys = ys[:pts + 1], ys[pts + 1:]
     top = int(np.argmax(ys))
     pad = [-np.inf]
     j = np.flatnonzero((ys > np.concatenate([pad, ys[:-1]]))
                        & (ys >= np.concatenate([ys[1:], pad])))
     return xs[top], ys[top], (xs[np.maximum(j - 1, 0)],
-                              xs[np.minimum(j + 1, pts)])
+                              xs[np.minimum(j + 1, pts)]), tail_ys
 
 
-def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0))):
+def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0)),
+              tail=np.empty(0)):
     """Global sup of the objective fn on [lo, hi] and its argmax: a grid
     scan, then one refinement of every local top together with the extra
-    brackets (a, b, tol).  Candidates in order: the grid maximum, the
-    refined tops, the refined extra brackets; the first of the largest
-    value wins."""
-    x0, y0, (a, b) = _grid_tops(fn, lo, hi, cfg)
+    brackets (a, b, tol) and, when `tail` points below lo are given, the
+    bracket [x / 2, min(2 x, hi)] of the best of them, x, to the relative
+    width _REFINE_TOL.  The tail is scanned in the grid's calls.
+    Candidates in order: the grid maximum, the refined tops, the refined
+    extra brackets and the tail's; the first of the largest value wins."""
+    x0, y0, (a, b), tail_ys = _grid_tops(fn, lo, hi, cfg, tail)
+    if len(tail):
+        x = float(tail[np.argmax(tail_ys)])
+        extra = np.append(extra, [[x / 2.0], [min(x * 2.0, hi)],
+                                  [_REFINE_TOL * x]], axis=1)
     a, b, tol = np.append([a, b, np.full(len(a), _REFINE_TOL)], extra, axis=1)
     x = _zoom(fn, a[:, None], b[:, None], tol, _ZOOM_POINTS)[:, 0]
     cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
@@ -245,8 +278,14 @@ def error_exponent(f: GrowthRate, eps: float,
 
     Returns (value, argmax); argmax is 0.0 when the l -> 0+ boundary
     limit wins.  For both families the objective is -D(l || eps) plus a
-    term <= 0, so the value is capped at 0.0 against rounding.
+    term <= 0, so the value is capped at 0.0 against rounding.  A curve
+    h(l) + c (f.h_offset = c, the random family) has the objective
+    c - D(l || eps): its sup is c, at l = eps, and no objective is
+    evaluated.  Any other curve takes the numeric sup on the grid of cfg.
     """
+    if f.h_offset is not None:
+        Bsc(eps)
+        return min(f.h_offset, 0.0), float(eps)
     g = exponent_objective(f, eps)
     lo = 1.0 / cfg.grid_points
     # Geometric tail below the uniform grid, down to the first point
@@ -255,9 +294,7 @@ def error_exponent(f: GrowthRate, eps: float,
     # grid's local tops.
     tail = lo * 0.5 ** np.arange(1, 64)
     tail = tail[:np.argmax(tail <= 1e-13) + 1]
-    tx = float(tail[np.argmax(g.fn(tail))])
-    value, x = _sup_rows(g.fn, lo, 1.0, cfg, [
-        [tx / 2.0], [min(tx * 2.0, 1.0)], [_REFINE_TOL * tx]])
+    value, x = _sup_rows(g.fn, lo, 1.0, cfg, tail=tail)
     return (min(value, 0.0), x) if value >= g.limit0 else (g.limit0, 0.0)
 
 

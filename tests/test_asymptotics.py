@@ -164,6 +164,44 @@ def test_error_exponent_random():
             assert math.isclose(argmax, eps, abs_tol=1e-4)
 
 
+def test_random_exponent_is_its_closed_form():
+    # sup of h(l) - (1 - R) - (l log2(1/eps) + (1 - l) log2(1/(1 - eps)))
+    # is -(1 - R), at l = eps; the objective of the curve is not a curve
+    # h + c, so it takes no closed form itself.
+    for R in (0.3, 0.9):
+        f = growth_rate_random(R)
+        assert f.h_offset == -(1.0 - R)
+        assert exponent_objective(f, 0.1).h_offset is None
+        for eps in (1e-300, 0.1, 0.49, np.float64(0.3)):
+            value, at = error_exponent(f, eps)
+            assert (value, at) == (-(1.0 - R), eps)
+            assert type(value) is float and type(at) is float
+    assert growth_rate_bernoulli(0.5, 20.0).h_offset is None
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.5, 0.7, math.nan, math.inf])
+def test_random_exponent_checks_eps(eps):
+    # The closed form evaluates nothing, but eps is still checked.
+    with pytest.raises(ValueError, match="0 < eps < 1/2"):
+        error_exponent(growth_rate_random(0.5), eps)
+
+
+@pytest.mark.parametrize("cfg", [OptimizerConfig(grid_points=4096),
+                                 OptimizerConfig()],
+                         ids=["grid4096", "default"])
+def test_numeric_sup_finds_the_random_closed_form(cfg):
+    # A known answer for the numeric sup that the sparse family takes: the
+    # random curve without its h_offset runs the grid, tail and zoom, and
+    # must land on -(1 - R) at l = eps.
+    for R in (0.3, 0.5, 0.7, 0.9):
+        f = asy.GrowthRate(growth_rate_random(R).fn, -(1 - R))
+        assert f.h_offset is None
+        for i in range(1, 50):
+            value, at = error_exponent(f, i / 100, cfg)
+            assert abs(value + (1 - R)) <= 1e-15, (R, i)
+            assert abs(at - i / 100) <= 1e-8, (R, i)
+
+
 def test_error_exponent_bernoulli_dense_regime():
     f = growth_rate_bernoulli(0.5, 20.0)
     value, _ = error_exponent(f, 0.4, FAST)
@@ -455,9 +493,10 @@ def _fig3_growth(family, R):
 
 
 def test_error_exponent_call_budget(monkeypatch):
-    # Over the fig-3 grid: one tail call, one grid call, six zoom calls
-    # (the tail bracket narrows 1.5e10x, 64x a call) and one at the
-    # refined points.
+    # Over the fig-3 grid: the random family is its closed form and calls
+    # no objective.  The sparse one makes one grid call that also scans
+    # the tail, six zoom calls (the tail bracket narrows 1.5e10x, 64x a
+    # call) and one at the refined points.
     calls = []
     objective = asy.exponent_objective
 
@@ -469,12 +508,12 @@ def test_error_exponent_call_budget(monkeypatch):
             return g.fn(l)
         return asy.GrowthRate(fn, g.limit0)
     monkeypatch.setattr(asy, "exponent_objective", counted)
-    for family in ("random", "bernoulli"):
+    for family, budget in (("random", 0), ("bernoulli", 8)):
         for R in (0.3, 0.5, 0.7, 0.9):
             for i in range(1, 50):
                 calls.clear()
                 error_exponent(_fig3_growth(family, R), i / 100, FIG3_CFG)
-                assert len(calls) <= 9, (family, R, i, calls)
+                assert len(calls) <= budget, (family, R, i, calls)
 
 
 def test_grid_tops_scans_a_chunk_plus_one_in_one_call():
@@ -504,8 +543,11 @@ def test_grid_tops_scans_a_chunk_plus_one_in_one_call():
 def test_error_exponent_pinned_at_fig3_corners(family, R, eps, value,
                                                argmax):
     # Pinned to a 15-point zoom's values; the zoom's width must not move
-    # them by more than float noise.
+    # them by more than float noise.  The random family is now its closed
+    # form, exactly, within that noise of the zoom's values.
     got, at = error_exponent(_fig3_growth(family, R), eps, FIG3_CFG)
+    if family == "random":
+        assert (got, at) == (-(1 - R), eps)
     assert abs(got - value) <= 1e-15
     assert abs(at - argmax) <= 1e-8
 

@@ -34,8 +34,18 @@ def test_exponent_random_example(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["eps", "exponent", "argmax_l"]
-    assert math.isclose(float(rows[0][1]), -0.5, abs_tol=1e-6)
-    assert math.isclose(float(rows[0][2]), 0.2, abs_tol=1e-4)
+    # the random family's closed form: -(1 - R) at l = eps, exactly
+    assert float(rows[0][1]) == -0.5
+    assert float(rows[0][2]) == 0.2
+
+
+def test_exponent_checks_the_grid_without_k(capsys):
+    # The random family needs no grid, but a bad --grid-points is still
+    # an error.
+    code, out, err = run_cli(capsys, "exponent", "--rate", "0.5", "--eps",
+                             "0.2", "--grid-points", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "grid_points" in err
 
 
 @pytest.mark.parametrize("k, f", [
