@@ -2,14 +2,14 @@
 parity-check matrix ensembles over the binary symmetric channel."""
 
 from .asymptotics import (GrowthRate, OptimizerConfig, RatePoint,
-                          binary_entropy, cov_growth_rate, error_exponent,
-                          exponent_objective, growth_rate_bernoulli,
-                          growth_rate_random, var_pu_growth_rate)
+                          cov_growth_rate, error_exponent, exponent_objective,
+                          growth_rate_bernoulli, growth_rate_random,
+                          var_pu_growth_rate)
 from .ensemble import (BernoulliEnsemble, Bsc, avg_pu, avg_weight,
                        cov_matrix, cov_weight, var_pu)
-from .gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
-                  MatrixFormatError, WeightDistribution, nullspace_basis,
-                  pu_polynomial, undetected_error_prob, weight_distribution)
+from .gf2 import (BitMatrix, EnumerationBudgetError, MatrixFormatError,
+                  WeightDistribution, nullspace_basis, pu_polynomial,
+                  undetected_error_prob, weight_distribution)
 from .logreal import LogReal
 from .montecarlo import (SampleStats, SimConfig, estimate_pu_distribution,
                          sample_matrix, sample_pu_stats)
@@ -20,12 +20,11 @@ from .rational import RationalPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliEnsemble", "Bsc", "BitMatrix", "BitVector",
-    "EnsembleMoments", "EnumerationBudgetError", "GrowthRate",
-    "GuardExceededError", "LogReal", "MatrixFormatError",
-    "OptimizerConfig", "RatePoint", "RationalPoly",
+    "BernoulliEnsemble", "Bsc", "BitMatrix", "EnsembleMoments",
+    "EnumerationBudgetError", "GrowthRate", "GuardExceededError", "LogReal",
+    "MatrixFormatError", "OptimizerConfig", "RatePoint", "RationalPoly",
     "SampleStats", "SimConfig", "WeightDistribution",
-    "avg_pu", "avg_weight", "binary_entropy", "cov_growth_rate",
+    "avg_pu", "avg_weight", "cov_growth_rate",
     "cov_matrix", "cov_weight", "enumerate_ensemble", "error_exponent",
     "estimate_pu_distribution", "exponent_objective",
     "growth_rate_bernoulli", "growth_rate_random", "nullspace_basis",

@@ -136,12 +136,6 @@ def _entropy(x):
              + y * np.log2(np.maximum(y, _TINY)))
 
 
-def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0; x is a
-    float or an array."""
-    return _scalar(_entropy(_unit(x, "entropy argument")))
-
-
 def growth_rate_random(R: float) -> GrowthRate:
     """f(l) = h(l) - (1 - R) for the random family."""
     RatePoint(R)
@@ -250,21 +244,20 @@ def _grid_tops(fn, lo, hi, cfg: OptimizerConfig, tail=np.empty(0)):
                               xs[np.minimum(j + 1, pts)]), tail_ys
 
 
-def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, extra=np.empty((3, 0)),
-              tail=np.empty(0)):
+def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, tail=np.empty(0)):
     """Global sup of the objective fn on [lo, hi] and its argmax: a grid
-    scan, then one refinement of every local top together with the extra
-    brackets (a, b, tol) and, when `tail` points below lo are given, the
-    bracket [x / 2, min(2 x, hi)] of the best of them, x, to the relative
-    width _REFINE_TOL.  The tail is scanned in the grid's calls.
-    Candidates in order: the grid maximum, the refined tops, the refined
-    extra brackets and the tail's; the first of the largest value wins."""
+    scan, then one refinement of every local top together with, when
+    `tail` points below lo are given, the bracket [x / 2, min(2 x, hi)] of
+    the best of them, x, to the relative width _REFINE_TOL.  The tail is
+    scanned in the grid's calls.  Candidates in order: the grid maximum,
+    the refined tops and the tail's; the first of the largest value
+    wins."""
     x0, y0, (a, b), tail_ys = _grid_tops(fn, lo, hi, cfg, tail)
+    tol = np.full(len(a), _REFINE_TOL)
     if len(tail):
         x = float(tail[np.argmax(tail_ys)])
-        extra = np.append(extra, [[x / 2.0], [min(x * 2.0, hi)],
-                                  [_REFINE_TOL * x]], axis=1)
-    a, b, tol = np.append([a, b, np.full(len(a), _REFINE_TOL)], extra, axis=1)
+        a, b, tol = np.append([a, b, tol], [[x / 2.0], [min(x * 2.0, hi)],
+                                            [_REFINE_TOL * x]], axis=1)
     x = _zoom(fn, a[:, None], b[:, None], tol, _ZOOM_POINTS)[:, 0]
     cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
     top = int(np.argmax(cy))

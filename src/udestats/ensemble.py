@@ -13,7 +13,7 @@ also check the sum against its closed form on every call.
 
 The covariances come from one numpy kernel, `_cov_kernel`, over flat
 (w1, w2, v) triples with w1 <= w2, in blocks of whole pairs of at most
-2^13 triples (64 KB per temporary, whatever n), with the log-sum-exp of
+2^14 triples (128 KB per temporary, whatever n), with the log-sum-exp of
 each pair done by `reduceat`.  `cov_weight` is the kernel on one pair
 and `cov_matrix` on all of them, so the two agree bit for bit.  The
 second moments need no overlap sum of their own: E[A_w1 A_w2] is

@@ -3,27 +3,27 @@
 Rows are bit-packed into Python integers (bit j of a row = column j), so
 XOR-based elimination and word enumeration are cheap for n up to a few
 thousand.  Weight distributions are exact integer counts.  One reduced
-echelon form, by rows, gives the rank r and, through one transpose, the
-pivot part of every column.  Equal columns of H form classes, read off
-those parts.  A codeword's bits on a class of e equal columns matter only
-through their parity, so the class contributes ((1 + z)^e + (1 - z)^e)/2
-to the weight enumerator when its parity is even and ((1 + z)^e -
-(1 - z)^e)/2 when it is odd (MacWilliams & Sloane 1977, ch. 1 and 5).
-The zero class always contributes (1 + z)^z0.  So the code with one
-coordinate per nonzero class, 2^(n' - r) words when H has n' distinct
-nonzero columns, is enumerated instead of the code.  Each class parity
-that varies over it is a top Gray bit of the enumeration, or a parity of
-such bits; a class whose top bit would leave Gray runs of fewer than
-2^13 words, or more than 2^10 runs, keeps its columns.  Then whichever
-side is smaller is enumerated: that code, or the 2^r words of the row
-space, whose weights B_j give the A_w through the exact integer
-MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n) (MacWilliams &
-Sloane 1977, ch. 5).  The cost 2^min(r, n' - r) is bounded by the fixed
-budget 2^ENUM_BUDGET_LOG2, checked before anything is enumerated.  The
-enumeration does about 5e8 words/s at n <= 64 and 3e8 at n = 100 on one
-x86-64 core, so 2^28 words take about a second, and each step of the
-exponent doubles that.  `_weight_histogram` enumerates by an in-place
-Gray walk over a numpy block.
+echelon form, by rows, gives the rank r and, through the one transpose
+`_packed_columns`, the pivot part of every column.  Equal columns of H
+form classes, read off those parts.  A codeword's bits on a class of e
+equal columns matter only through their parity, so the class contributes
+((1 + z)^e + (1 - z)^e)/2 to the weight enumerator when its parity is
+even and ((1 + z)^e - (1 - z)^e)/2 when it is odd (MacWilliams & Sloane
+1977, ch. 1 and 5).  The zero class always contributes (1 + z)^z0.  So
+the code with one coordinate per nonzero class, 2^(n' - r) words when H
+has n' distinct nonzero columns, is enumerated instead of the code.
+Each class parity that varies over it is a top Gray bit of the
+enumeration, or a parity of such bits; a class whose top bit would leave
+Gray runs of fewer than 2^13 words, or more than 2^10 runs, keeps its
+columns.  Then whichever side is smaller is enumerated: that code, or
+the 2^r words of the row space, whose weights B_j give the A_w through
+the exact integer MacWilliams identity A_w = 2^-r sum_j B_j K_w(j; n)
+(MacWilliams & Sloane 1977, ch. 5).  The cost 2^min(r, n' - r) is
+bounded by the fixed budget 2^ENUM_BUDGET_LOG2, checked before anything
+is enumerated.  The enumeration does about 5e8 words/s at n <= 64 and
+3e8 at n = 100 on one x86-64 core, so 2^28 words take about a second,
+and each step of the exponent doubles that.  `_weight_histogram`
+enumerates by an in-place Gray walk over a numpy block.
 """
 
 from __future__ import annotations
@@ -51,28 +51,6 @@ class EnumerationBudgetError(RuntimeError):
 
 class MatrixFormatError(ValueError):
     """Raised on a malformed matrix text file."""
-
-
-@dataclass(frozen=True, slots=True)
-class BitVector:
-    """A length-n binary vector, bits packed into one int (bit j = coord j)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("BitVector length must be >= 1")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits outside the declared length")
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitVector":
-        return cls(len(s), _bits_from_string(s))
 
 
 def _bits_from_string(s: str) -> int:
@@ -163,34 +141,39 @@ def _reduced_echelon(rows) -> list[int]:
     return [pivot_rows[p] for p in sorted(pivot_rows)]
 
 
+def _packed_columns(rows, n: int) -> np.ndarray:
+    """The one transpose: the rows unpacked to bytes, and each column
+    packed back from them into an (n, max(1, ceil(m / 64))) uint64 array,
+    where bit i of column j is bit j of row i."""
+    m = len(rows)
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                        dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(m, nbytes), axis=1, count=n,
+                         bitorder="little")
+    padded = np.zeros((n, 64 * max(1, -(-m // 64))), dtype=np.uint8)
+    padded[:, :m] = bits.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
 def _column_parts(rows: list[int], n: int) -> list[int]:
     """The pivot part of each column of the RREF rows: bit j is set when
     row j holds the column.  A pivot column's part is its own row bit, a
     zero column's is 0, and the nullspace word of a free column f is f
-    plus the pivot columns of its part.  The columns are read off with one
-    transpose in numpy; rows are padded to whole 64-bit words, so a part
-    of up to 64 rows is one uint64."""
-    nbytes = (n + 7) // 8
-    pad = 64 * max(1, -(-len(rows) // 64))
-    data = (b"".join(x.to_bytes(nbytes, "little") for x in rows)
-            + bytes((pad - len(rows)) * nbytes))
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(
-        pad, nbytes), axis=1, count=n, bitorder="little")
-    cols = np.ascontiguousarray(
-        np.packbits(bits, axis=0, bitorder="little").T)
-    if pad == 64:
-        return cols.view("<u8")[:, 0].tolist()
+    plus the pivot columns of its part."""
+    cols = _packed_columns(rows, n)
+    if cols.shape[1] == 1:
+        return cols[:, 0].tolist()
     return [int.from_bytes(c.tobytes(), "little") for c in cols]
 
 
-def nullspace_basis(h: BitMatrix) -> list[BitVector]:
-    """n - rank(H) independent vectors spanning {x : H x^t = 0}, one per
-    free column in increasing order."""
+def nullspace_basis(h: BitMatrix) -> list[int]:
+    """n - rank(H) independent words spanning {x : H x^t = 0}, bit-packed
+    (bit j = coordinate j), one per free column in increasing order."""
     rows = _reduced_echelon(h.rows)
     pivots = [x & -x for x in rows]
     used = functools.reduce(operator.or_, pivots, 0)
-    return [BitVector(h.n, (1 << c) | sum(p for j, p in enumerate(pivots)
-                                          if q >> j & 1))
+    return [(1 << c) | sum(p for j, p in enumerate(pivots) if q >> j & 1)
             for c, q in enumerate(_column_parts(rows, h.n))
             if not used >> c & 1]
 

@@ -10,7 +10,8 @@ debiased, and it keeps the standard errors of the mean and variance
 positive when no trial of any matrix goes undetected, the usual case when
 P_U ~ 2^-m.  It draws the error positions of a chunk of trials from their
 geometric gaps, one exponential per bit error rather than one uniform per
-bit, and a trial's syndrome is the XOR of H's bit-packed columns there.
+bit, and a trial's syndrome is the XOR of H's bit-packed columns there,
+read off by gf2's one rows-to-columns transpose, `_packed_columns`.
 A chunk expects about 2^15 error positions and holds at least one trial,
 so until eps n passes 2^15 its temporaries take about 1 MB at every eps,
 plus 256 KB for each 64-bit syndrome word past the first.
@@ -30,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import BernoulliEnsemble, Bsc
-from .gf2 import BitMatrix, pu_from_weights, weight_distribution
+from .gf2 import (BitMatrix, _packed_columns, pu_from_weights,
+                  weight_distribution)
 
 # Two-sided normal level of the z = 4 intervals reported: +-4 standard
 # errors for sample means, Wilson score intervals for channel hit rates.
@@ -171,7 +173,7 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
     # its error positions.  A trial's syndrome is the XOR of H's columns
     # at its positions; it is undetected if it has an error and a zero
     # syndrome.
-    cols = _packed_columns(h)
+    cols = _packed_columns(h.rows, h.n)
     # A chunk expects about _BLOCK error positions and holds at least one
     # trial.  It does not depend on m, so matrices with the same columns
     # see the same stream.  A chunk of many trials spans at most
@@ -201,18 +203,6 @@ def estimate_pu_channel(h: BitMatrix, eps: float, trials: int,
         "ci_level": CI_LEVEL,
         "trials": trials,
     }
-
-
-def _packed_columns(h: BitMatrix) -> np.ndarray:
-    """H's columns as an (n, ceil(m/64)) uint64 array; row i is bit i."""
-    nbytes = (h.n + 7) // 8
-    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little")
-                                 for r in h.rows), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(h.m, nbytes), axis=1, count=h.n,
-                         bitorder="little")
-    padded = np.zeros((h.n, 64 * ((h.m + 63) // 64)), dtype=np.uint8)
-    padded[:, :h.m] = bits.T
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 def _error_positions(bits: int, eps: float,

@@ -2,37 +2,38 @@
 probability by brute force over all rows and in closed form, each
 matrix's probability and the Bernstein polynomials, the closed forms of
 the weight moments, all in exact Fractions, a numeric sup for the
-covariance growth rate's inner closed form, and the GF(2) rank."""
+covariance growth rate's inner closed form, the GF(2) rank and the
+range-checked binary entropy."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from udestats.asymptotics import (OptimizerConfig, _scalar, _sup_rows,
-                                  binary_entropy)
-from udestats.gf2 import BitMatrix, BitVector
+from udestats.asymptotics import (OptimizerConfig, _entropy, _scalar,
+                                  _sup_rows, _unit)
+from udestats.gf2 import BitMatrix
 from udestats.oracle import GuardExceededError, _check_k
 from udestats.rational import RationalPoly
 
 
-def brute_force_joint_pass(m: int, n: int, k, x: BitVector, y: BitVector
-                           ) -> Fraction:
-    """Pr[H x^t = 0 and H y^t = 0] by enumerating all 2^n rows.
+def brute_force_joint_pass(m: int, n: int, k, x: int, y: int) -> Fraction:
+    """Pr[H x^t = 0 and H y^t = 0] by enumerating all 2^n rows, for words
+    x, y bit-packed into ints (bit j = coordinate j).
 
     Rows are independent, so the single-row probability is raised to m.
     """
     if n > 20:
         raise GuardExceededError(f"2^{n} rows exceed the brute-force guard")
-    if x.n != n or y.n != n:
-        raise ValueError("vector length mismatch")
+    if x < 0 or y < 0 or x >> n or y >> n:
+        raise ValueError("a word has bits beyond its n coordinates")
     k = _check_k(n, Fraction(k))
     p = k / n
     q = Fraction(0)
     for h in range(1 << n):
-        if (h & x.bits).bit_count() & 1:
+        if (h & x).bit_count() & 1:
             continue
-        if (h & y.bits).bit_count() & 1:
+        if (h & y).bit_count() & 1:
             continue
         w = h.bit_count()
         q += p ** w * (1 - p) ** (n - w)
@@ -89,6 +90,12 @@ def second_moment_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
 def cov_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
     return (second_moment_weight_exact(m, n, k, w1, w2)
             - avg_weight_exact(m, n, k, w1) * avg_weight_exact(m, n, k, w2))
+
+
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0; x is a
+    float or an array."""
+    return _scalar(_entropy(_unit(x, "entropy argument")))
 
 
 def scaled_entropy(scale, x):

@@ -261,7 +261,6 @@ def test_criterion_09_combinatorial_identity():
 
 
 def test_criterion_10_joint_pass_exact():
-    from udestats.gf2 import BitVector
     from references import brute_force_joint_pass, joint_pass_prob_exact
     t0 = time.monotonic()
     ok = True
@@ -271,15 +270,14 @@ def test_criterion_10_joint_pass_exact():
             for k in (Fraction(n, 4), Fraction(n, 2)):
                 for w1 in range(n + 1):
                     for w2 in range(w1, n + 1):
-                        x = BitVector(n, (1 << w1) - 1 if w1 else 0)
+                        x = (1 << w1) - 1
                         for v in range(max(0, w1 + w2 - n),
                                        min(w1, w2) + 1):
                             ybits = (((1 << v) - 1)
                                      | (((1 << (w2 - v)) - 1) << w1))
-                            y = BitVector(n, ybits)
                             ok = ok and joint_pass_prob_exact(
                                 m, n, k, w1, w2, v) == \
-                                brute_force_joint_pass(m, n, k, x, y)
+                                brute_force_joint_pass(m, n, k, x, ybits)
                             checked += 1
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0

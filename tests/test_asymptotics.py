@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 import udestats.asymptotics as asy
 from udestats.asymptotics import (OptimizerConfig, RatePoint, _a_term,
-                                  _b_term, _inner_sup_closed, binary_entropy,
-                                  cov_growth_rate, error_exponent,
-                                  exponent_objective, growth_rate_bernoulli,
-                                  growth_rate_random, var_pu_growth_rate)
+                                  _b_term, _inner_sup_closed, cov_growth_rate,
+                                  error_exponent, exponent_objective,
+                                  growth_rate_bernoulli, growth_rate_random,
+                                  var_pu_growth_rate)
 from udestats.ensemble import (BernoulliEnsemble, Bsc, _var_pu_random_closed,
                                cov_weight, var_pu)
 
-from references import inner_sup_grid, scaled_entropy
+from references import binary_entropy, inner_sup_grid, scaled_entropy
 
 FAST = OptimizerConfig(grid_points=2048)
 
@@ -64,13 +64,14 @@ def test_growth_rates_are_their_entropy_formula():
 
 def test_error_exponent_skips_the_checked_entropy(monkeypatch):
     # A sup's probes lie in (0, 1] by construction, so error_exponent
-    # never pays for binary_entropy's range check.
+    # never pays for the range check of _unit.
     calls = []
+    unit = asy._unit
 
-    def spy(x):
+    def spy(x, what):
         calls.append(x)
-        return binary_entropy(x)
-    monkeypatch.setattr(asy, "binary_entropy", spy)
+        return unit(x, what)
+    monkeypatch.setattr(asy, "_unit", spy)
     for f in (growth_rate_random(0.5), growth_rate_bernoulli(0.5, 20.0)):
         error_exponent(f, 0.1, FAST)
     assert calls == []
@@ -437,14 +438,15 @@ def test_sup_rows_replays_the_loop():
 
 
 def test_sup_rows_refines_an_extra_bracket(monkeypatch):
-    # A spike narrower than the grid step, away from every grid top: only
-    # the extra bracket finds it, and its refined point wins.
+    # A narrow spike below the grid [0.7, 1]: only the zoom of the extra
+    # bracket [0.3, 1] of the best tail point, 0.6, finds it, and its
+    # refined point wins.
     def fn(x):
         return 2.0 * np.maximum(0.0, 1.0 - np.abs(x - 0.30001) * 1e6) - x
     monkeypatch.setattr(asy, "_REFINE_TOL", 1e-12)
     cfg = OptimizerConfig(grid_points=64)
-    assert asy._sup_rows(fn, 0.0, 1.0, cfg) == (0.0, 0.0)
-    value, x = asy._sup_rows(fn, 0.0, 1.0, cfg, [[0.3], [0.31], [1e-12]])
+    assert asy._sup_rows(fn, 0.7, 1.0, cfg) == (-0.7, 0.7)
+    value, x = asy._sup_rows(fn, 0.7, 1.0, cfg, tail=np.array([0.6, 0.65]))
     assert abs(x - 0.30001) < 1e-11 and abs(value - (2.0 - 0.30001)) < 1e-5
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from references import rank
 from udestats import BernoulliEnsemble, gf2
-from udestats.gf2 import (BitMatrix, BitVector, EnumerationBudgetError,
+from udestats.gf2 import (BitMatrix, EnumerationBudgetError,
                           MatrixFormatError, nullspace_basis, pu_from_weights,
                           pu_polynomial, undetected_error_prob,
                           weight_distribution)
@@ -108,8 +108,36 @@ def test_pu_bounds(h, eps):
 def test_nullspace_vectors_are_codewords():
     h = BitMatrix.from_strings(["101101", "011010", "110111"])
     for v in nullspace_basis(h):
-        assert all((r & v.bits).bit_count() % 2 == 0 for r in h.rows)
+        assert all((r & v).bit_count() % 2 == 0 for r in h.rows)
     assert len(nullspace_basis(h)) == h.n - rank(h)
+
+
+def _columns_by_bit(rows, n):
+    """Column j of the rows as an int, bit i = row i, one bit at a time."""
+    return [sum((x >> j & 1) << i for i, x in enumerate(rows))
+            for j in range(n)]
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
+def test_packed_columns_is_the_transpose(m, n):
+    rng = random.Random(1000 * m + n)
+    rows = [rng.getrandbits(n) for _ in range(m)]
+    rows[0] |= 1 << (n - 1)  # the last column and byte are in use
+    cols = gf2._packed_columns(rows, n)
+    assert cols.shape == (n, -(-m // 64)) and cols.dtype == np.uint64
+    assert [sum(int(w) << (64 * i) for i, w in enumerate(c)) for c in cols] \
+        == _columns_by_bit(rows, n)
+
+
+def test_column_parts_past_one_word():
+    # r = 100 RREF rows take the multi-word int.from_bytes path; no rows
+    # give every column the part 0.
+    h = sample_matrix(BernoulliEnsemble(100, 230, 20.0), worker_rng(5, 0))
+    rows = gf2._reduced_echelon(h.rows)
+    assert len(rows) == 100
+    assert gf2._column_parts(rows, h.n) == _columns_by_bit(rows, h.n)
+    assert gf2._column_parts([], 5) == [0] * 5
 
 
 def _distinct_columns(m: int) -> BitMatrix:
@@ -272,16 +300,6 @@ def test_eps_domain():
     for bad in (0.0, 0.5, -0.1, 1.0):
         with pytest.raises(ValueError):
             undetected_error_prob(h, bad)
-
-
-def test_bitvector_basics():
-    v = BitVector.from_string("0110")
-    assert v.weight == 2
-    assert BitVector.from_string("1000").bits == 1
-    with pytest.raises(MatrixFormatError):
-        BitVector.from_string("01x0")
-    with pytest.raises(ValueError):
-        BitVector(2, 5)
 
 
 def test_text_roundtrip():
@@ -484,8 +502,7 @@ def test_paired_columns_leave_the_zero_code(monkeypatch, m):
     assert sizes == [0]
     assert counts == tuple(math.comb(m, w // 2) if w % 2 == 0 else 0
                            for w in range(2 * m + 1))
-    assert [v.bits for v in nullspace_basis(h)] == [(1 << i) | (1 << (m + i))
-                                                    for i in range(m)]
+    assert nullspace_basis(h) == [(1 << i) | (1 << (m + i)) for i in range(m)]
 
 
 def test_every_gray_run_is_checked(monkeypatch):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import udestats.oracle as oracle
-from udestats.gf2 import BitVector
 from udestats.oracle import (EnsembleMoments, GuardExceededError,
                              _column_classes, _plan, _weight_class_sums,
                              enumerate_ensemble, verify_closed_forms)
@@ -237,19 +236,17 @@ def test_brute_force_joint_pass_identities():
     m, n = 2, 6
     z = 1 - 2 * k / n
     # x = y: single parity event at weight w
-    x = BitVector.from_string("110100")
+    x = 0b001011  # coordinates 0, 1 and 3
     assert brute_force_joint_pass(m, n, k, x, x) == \
         (Fraction(1 + z ** 3, 2)) ** m
     # disjoint supports factorize
-    y = BitVector.from_string("001011")
+    y = 0b110100  # coordinates 2, 4 and 5
     single = Fraction(1 + z ** 3, 2)
     assert brute_force_joint_pass(m, n, k, x, y) == (single * single) ** m
 
 
 def test_brute_force_joint_pass_example():
-    got = brute_force_joint_pass(1, 2, Fraction(1, 2),
-                                 BitVector.from_string("10"),
-                                 BitVector.from_string("11"))
+    got = brute_force_joint_pass(1, 2, Fraction(1, 2), 0b01, 0b11)
     assert got == Fraction(9, 16)
 
 
@@ -259,15 +256,14 @@ def test_joint_pass_exact_matches_brute_force():
             for k in (Fraction(n, 4), Fraction(n, 2)):
                 for w1 in range(n + 1):
                     for w2 in range(w1, n + 1):
-                        x = BitVector(n, (1 << w1) - 1 if w1 else 0)
+                        x = (1 << w1) - 1
                         for v in range(max(0, w1 + w2 - n),
                                        min(w1, w2) + 1):
                             ybits = (((1 << v) - 1)
                                      | (((1 << (w2 - v)) - 1) << w1))
-                            y = BitVector(n, ybits)
                             assert joint_pass_prob_exact(
                                 m, n, k, w1, w2, v) == \
-                                brute_force_joint_pass(m, n, k, x, y)
+                                brute_force_joint_pass(m, n, k, x, ybits)
 
 
 def test_exact_moment_helpers():
@@ -302,7 +298,7 @@ def test_guards(monkeypatch):
         with pytest.raises(GuardExceededError):
             enumerate_ensemble(m, n, k)
     with pytest.raises(GuardExceededError):
-        brute_force_joint_pass(1, 21, 5, BitVector(21, 1), BitVector(21, 3))
+        brute_force_joint_pass(1, 21, 5, 1, 3)
     with pytest.raises(ValueError):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
 
