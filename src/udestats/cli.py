@@ -23,8 +23,8 @@ from . import ensemble as ens_mod
 from . import montecarlo as mc
 from . import oracle as oracle_mod
 from .ensemble import BernoulliEnsemble, Bsc
-from .gf2 import (BitMatrix, EnumerationBudgetError, pu_polynomial,
-                  undetected_error_prob)
+from .gf2 import (BitMatrix, EnumerationBudgetError, pu_from_weights,
+                  pu_polynomial, weight_distribution)
 from .logreal import LogReal
 
 
@@ -173,7 +173,10 @@ def _cmd_exact_pu(args) -> None:
         rows = [[j, str(poly[j])] for j in range(max(poly.degree, 0) + 1)]
         _emit(args, ["degree", "coefficient"], rows)
         return
-    rows = [[eps, undetected_error_prob(h, eps)] for eps in args.eps]
+    for eps in args.eps:
+        Bsc(eps)
+    counts = weight_distribution(h).counts
+    rows = [[eps, pu_from_weights(counts, h.n, eps)] for eps in args.eps]
     _emit(args, ["eps", "pu"], rows)
 
 

@@ -23,12 +23,6 @@ transform, over a Krawtchouk table built here from math.comb.  The
 module imports nothing from gf2, so neither route shares code with
 gf2's enumeration of the code or of the row space, and the test suite
 cross-checks the two.
-
-One closed-form sum lives here as a guard, not as an adjudicated value:
-`_var_pu_row_states` gives Var[P_U] at an eps point before anything is
-enumerated, only so that a report whose Var[P_U] would print past the
-interpreter's digit limit is refused early.  Every value a report prints
-still comes from the enumeration.
 """
 
 from __future__ import annotations
@@ -63,6 +57,27 @@ def _check_k(n: int, k: Fraction) -> Fraction:
     if not 0 < k <= Fraction(n, 2):
         raise ValueError(f"need 0 < k <= n/2, got k={k}, n={n}")
     return k
+
+
+def _check_shape(m: int, n: int) -> None:
+    """Refuse, before anything else, m or n below 1 and a shape over the
+    budget: rows or columns wider than 64 bits (tested first, so
+    math.comb never sees a huge mn), int64 sums that could overflow
+    (C(mn, t) matrices with t ones times C(n, w1) C(n, w2) codeword pairs
+    bounds every sum), or over 2^_LOG2_MAX_CLASSES multisets on both
+    sides.  That also bounds the words checked per multiset,
+    2^min(m, n), by 2^6: m, n >= 7 has over 2^36 multisets either way."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    mn = m * n
+    if (max(m, n) > 64
+            or math.comb(mn, mn // 2) * math.comb(n, n // 2) ** 2 >= 1 << 63
+            or min(_multisets(m, n), _multisets(n, m))
+            > 1 << _LOG2_MAX_CLASSES):
+        raise GuardExceededError(
+            f"the {m}x{n} ensemble is over the oracle's budget of "
+            f"2^{_LOG2_MAX_CLASSES} row or column multisets, rows and "
+            "columns of at most 64 bits and sums that fit in int64")
 
 
 @dataclass(frozen=True)
@@ -225,42 +240,28 @@ def _weight_class_sums(m: int, n: int) -> np.ndarray:
     return s2
 
 
-def _numerators(m: int, n: int, k) -> tuple[Fraction, np.ndarray,
-                                             np.ndarray, int]:
-    """(k, n2, cov_n, den): the moments E[A_w1 A_w2] as the exact
-    integers n2[w1, w2] (an object array) over den = b^mn, for
-    p = k/n = a/b in lowest terms, and the covariances as cov_n[w1, w2]
-    over den^2; row 0 is E[A_w]'s, as A_0 = 1.  A shape over the budget
-    is refused before anything is allocated: one whose rows or columns
-    do not fit a 64-bit word, one whose int64 sums could overflow
-    (C(mn, t) matrices with t ones times C(n, w1) C(n, w2) codeword pairs
-    bounds every sum), and one with more than 2^_LOG2_MAX_CLASSES
-    multisets on either side.  That also bounds the words checked per
-    multiset, 2^min(m, n), by 2^6: m, n >= 7 has over 2^36 multisets
-    either way."""
+def _numerators(m: int, n: int, k: Fraction) -> tuple[np.ndarray,
+                                                     np.ndarray, int]:
+    """(n2, cov_n, den): the moments E[A_w1 A_w2] as the exact integers
+    n2[w1, w2] (an object array) over den = b^mn, for p = k/n = a/b in
+    lowest terms, and the covariances as cov_n[w1, w2] over den^2; row 0
+    is E[A_w]'s, as A_0 = 1.  The caller has checked the shape and k."""
     mn = m * n
-    if (max(m, n) > 64
-            or math.comb(mn, mn // 2) * math.comb(n, n // 2) ** 2 >= 1 << 63
-            or min(_multisets(m, n), _multisets(n, m))
-            > 1 << _LOG2_MAX_CLASSES):
-        raise GuardExceededError(
-            f"the {m}x{n} ensemble is over the oracle's budget of "
-            f"2^{_LOG2_MAX_CLASSES} row or column multisets, rows and "
-            "columns of at most 64 bits and sums that fit in int64")
-    k = _check_k(n, Fraction(k))
     a, b = (k / n).as_integer_ratio()
     s2 = _weight_class_sums(m, n)
     weights = np.array([a ** wt * (b - a) ** (mn - wt)
                         for wt in range(mn + 1)], dtype=object)
     n2 = (weights @ s2.reshape(mn + 1, -1).astype(object)).reshape(n + 1, -1)
     den = b ** mn
-    return k, n2, n2 * den - np.multiply.outer(n2[0], n2[0]), den
+    return n2, n2 * den - np.multiply.outer(n2[0], n2[0]), den
 
 
 def enumerate_ensemble(m: int, n: int, k) -> EnsembleMoments:
     """Exact moments over all 2^(m n) matrices, from the numerators of
-    `_numerators` (which refuses a shape over the oracle's budget)."""
-    k, n2, cov_n, den = _numerators(m, n, k)
+    `_numerators`, once the shape is within the oracle's budget."""
+    _check_shape(m, n)
+    k = _check_k(n, k)
+    n2, cov_n, den = _numerators(m, n, k)
     e_aw = [Fraction(v, den) for v in n2[0]]
     e_awaw = [[Fraction(v, den) for v in row] for row in n2]
     cov = [[Fraction(v, den * den) for v in row] for row in cov_n]
@@ -329,46 +330,6 @@ def _var_pu_denominator_bound(m: int, n: int, b: int) -> int:
     return low
 
 
-def _var_pu_row_states(m: int, n: int, k: Fraction, eps: Fraction
-                       ) -> Fraction:
-    """Var[P_U] at eps, exactly, summed over row states.  One Bernoulli row
-    h gives Pr(h x = 0, h y = 0) = (1 + z^|x| + z^|y| + z^|x+y|) / 4 with
-    z = 1 - 2k/n; its m-th power splits into multinomial states
-    (i, j, k', l), and over the BSC each state's sum over x and y factors
-    by coordinates into Q^n, where Q = R + eps^2 z^(j+k') (1 - z^(2l)) and
-    R = P_(j+l) P_(k'+l), P_a = 1 - eps + eps z^a.  The states with l = 0
-    make up E[P_U]^2, and the words x = 0 or y = 0 cancel, so
-    Var[P_U] = 4^-m sum over l >= 1 of (m; i, j, k', l) (Q^n - R^n)."""
-    z = 1 - 2 * k / n
-    total = Fraction(0)
-    for l in range(1, m + 1):
-        for j in range(m - l + 1):
-            for k2 in range(m - l - j + 1):
-                r = ((1 - eps + eps * z ** (j + l))
-                     * (1 - eps + eps * z ** (k2 + l)))
-                q = r + eps * eps * z ** (j + k2) * (1 - z ** (2 * l))
-                states = (math.comb(m, l) * math.comb(m - l, j)
-                          * math.comb(m - l - j, k2))
-                total += states * (q ** n - r ** n)
-    return total / 4 ** m
-
-
-def _check_var_pu_digits(m: int, n: int, k: Fraction) -> None:
-    """Refuse, before anything is enumerated, a report whose Var[P_U] at an
-    eps point would print past the digit limit.  Var[P_U] at eps = p/q is
-    at most 1, over the denominator q^2n b^2mn for p = a/b, so it is
-    computed, by _var_pu_row_states, only when that could pass 10^limit.
-    How much of q^2n survives reduction depends on the ensemble: at
-    (1, 4, 4/243) none of its twos do."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    b = (k / n).denominator
-    for eps in _EPS_POINTS:
-        top = eps.denominator ** (2 * n) * b ** (2 * m * n)
-        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
-            var = _var_pu_row_states(m, n, k, eps)
-            _check_digits(m, n, var.numerator, var.denominator)
-
-
 def verify_closed_forms(m: int, n: int, k) -> dict:
     """Compare exhaustive-enumeration moments against the closed-form
     module on every overlapping quantity; a check passes within a relative
@@ -384,11 +345,11 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     prints published-example coefficients next to the enumerated ones for
     the (1, 2, 1/2) case, flagging the known discrepancies.
     """
-    k = _check_k(n, Fraction(k))
+    _check_shape(m, n)
+    k = _check_k(n, k)
     _check_digits(m, n,
                   _var_pu_denominator_bound(m, n, (k / n).denominator))
-    _check_var_pu_digits(m, n, k)
-    k, n2, cov_n, den = _numerators(m, n, k)
+    n2, cov_n, den = _numerators(m, n, k)
     analytic = BernoulliEnsemble(m, n, float(k))
     checks = []
     # _check_digits passes every value of at most 3 bits per digit of the

@@ -1,9 +1,9 @@
 """Reference evaluations that only the tests use: the joint-pass
 probability by brute force over all rows and in closed form, each
 matrix's probability and the Bernstein polynomials, the closed forms of
-the weight moments, all in exact Fractions, a numeric sup for the
-covariance growth rate's inner closed form, the GF(2) rank and the
-range-checked binary entropy."""
+the weight moments and Var[P_U] summed over row states, all in exact
+Fractions, a numeric sup for the covariance growth rate's inner closed
+form, the GF(2) rank and the range-checked binary entropy."""
 
 import math
 from fractions import Fraction
@@ -90,6 +90,30 @@ def second_moment_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
 def cov_weight_exact(m: int, n: int, k, w1: int, w2: int) -> Fraction:
     return (second_moment_weight_exact(m, n, k, w1, w2)
             - avg_weight_exact(m, n, k, w1) * avg_weight_exact(m, n, k, w2))
+
+
+def var_pu_row_states(m: int, n: int, k: Fraction, eps: Fraction
+                      ) -> Fraction:
+    """Var[P_U] at eps, exactly, summed over row states.  One Bernoulli row
+    h gives Pr(h x = 0, h y = 0) = (1 + z^|x| + z^|y| + z^|x+y|) / 4 with
+    z = 1 - 2k/n; its m-th power splits into multinomial states
+    (i, j, k', l), and over the BSC each state's sum over x and y factors
+    by coordinates into Q^n, where Q = R + eps^2 z^(j+k') (1 - z^(2l)) and
+    R = P_(j+l) P_(k'+l), P_a = 1 - eps + eps z^a.  The states with l = 0
+    make up E[P_U]^2, and the words x = 0 or y = 0 cancel, so
+    Var[P_U] = 4^-m sum over l >= 1 of (m; i, j, k', l) (Q^n - R^n)."""
+    z = 1 - 2 * k / n
+    total = Fraction(0)
+    for l in range(1, m + 1):
+        for j in range(m - l + 1):
+            for k2 in range(m - l - j + 1):
+                r = ((1 - eps + eps * z ** (j + l))
+                     * (1 - eps + eps * z ** (k2 + l)))
+                q = r + eps * eps * z ** (j + k2) * (1 - z ** (2 * l))
+                states = (math.comb(m, l) * math.comb(m - l, j)
+                          * math.comb(m - l - j, k2))
+                total += states * (q ** n - r ** n)
+    return total / 4 ** m
 
 
 def binary_entropy(x):

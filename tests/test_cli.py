@@ -254,6 +254,15 @@ def test_domain_errors_exit_nonzero(capsys, monkeypatch):
         # int-to-str digit limit: refused before enumerating
         ("oracle", "--m", "2", "--n", "4", "--k", "1e-300"):
             f"{sys.get_int_max_str_digits()} digits",
+        # the shape is checked first: none of these reaches the digit bound
+        ("oracle", "--m", "30", "--n", "1024", "--k", "1"): "oracle's budget",
+        ("oracle", "--m", "100", "--n", "128", "--k", "1"): "oracle's budget",
+        ("oracle", "--m", "3000", "--n", "3000", "--k", "1"):
+            "oracle's budget",
+        ("oracle", "--m", "-1", "--n", "2", "--k", "1"):
+            "m and n must be >= 1",
+        ("oracle", "--m", "0", "--n", "4", "--k", "1"):
+            "m and n must be >= 1",
         ("avg-pu", "--m", "1", "--n", "2", "--k", "1e-400", "--eps", "0.1"):
             "underflows",
         ("exponent", "--rate", "0.5", "--k", "1e-400", "--eps", "0.1"):
@@ -326,6 +335,27 @@ def test_exact_pu_matrix_file(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     assert [r[1] for r in rows] == ["0", "1", "-1"]  # eps - eps^2
+
+
+def test_exact_pu_enumerates_once(capsys, tmp_path, monkeypatch):
+    # Every eps is checked before the one enumeration, which all of them
+    # share.
+    path = tmp_path / "h.txt"
+    path.write_text("2 4\n1100\n0111\n")
+    calls = []
+    wd = cli.weight_distribution
+    monkeypatch.setattr(cli, "weight_distribution",
+                        lambda h: calls.append(h) or wd(h))
+    code, out, _ = run_cli(capsys, "exact-pu", "--matrix", str(path),
+                           "--eps", "0.01", "0.05", "0.1")
+    assert code == 0 and len(parse_csv(out)[1]) == 3
+    assert len(calls) == 1
+    calls.clear()
+    code, out, err = run_cli(capsys, "exact-pu", "--matrix", str(path),
+                             "--eps", "0.1", "0.6")
+    assert code == 1 and out == ""
+    assert err == "error: need 0 < eps < 1/2, got 0.6\n"
+    assert calls == []
 
 
 def test_exact_pu_bad_file(capsys, tmp_path):

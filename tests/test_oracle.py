@@ -19,7 +19,7 @@ from udestats.rational import RationalPoly
 
 from references import (avg_weight_exact, bernstein, brute_force_joint_pass,
                         cov_weight_exact, joint_pass_prob_exact, matrix_probs,
-                        second_moment_weight_exact)
+                        second_moment_weight_exact, var_pu_row_states)
 
 
 def test_worked_example_exact():
@@ -303,6 +303,22 @@ def test_guards(monkeypatch):
         enumerate_ensemble(2, 2, Fraction(3, 2))  # k > n/2
 
 
+def test_shape_is_checked_first(monkeypatch):
+    # Neither the digit bound, whose b^2mn is huge at 3000x3000, nor the
+    # enumeration runs for a shape the budget refuses.
+    def reached(*args):
+        raise AssertionError("reached past the shape check")
+    monkeypatch.setattr(oracle, "_var_pu_denominator_bound", reached)
+    monkeypatch.setattr(oracle, "_weight_class_sums", reached)
+    for m, n in [(30, 1024), (100, 128), (3000, 3000)]:
+        with pytest.raises(GuardExceededError, match="oracle's budget"):
+            verify_closed_forms(m, n, 1)
+    for m, n in [(-1, 2), (0, 4)]:
+        for run in (verify_closed_forms, enumerate_ensemble):
+            with pytest.raises(ValueError, match="m and n must be >= 1"):
+                run(m, n, 1)
+
+
 @pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
 def test_digit_limit_is_checked_on_printed_integers(m, n):
     # b = 3^281 is coprime to 10, so the up-front bound on Var[P_U]'s
@@ -314,18 +330,6 @@ def test_digit_limit_is_checked_on_printed_integers(m, n):
         verify_closed_forms(m, n, k)
 
 
-@pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
-def test_digit_limit_is_checked_before_enumerating(monkeypatch, m, n):
-    # Var[P_U] at eps = 1/10 prints a denominator of over 4300 digits:
-    # q^2n b^2mn could pass the limit, so it is computed from row states
-    # and refused before the enumeration starts.
-    def enumerated(*args):
-        raise AssertionError("enumerated past the digit limit")
-    monkeypatch.setattr(oracle, "_weight_class_sums", enumerated)
-    with pytest.raises(GuardExceededError, match="int-to-str"):
-        verify_closed_forms(m, n, Fraction(n, 3 ** 281))
-
-
 @pytest.mark.parametrize("m, n, k", [(1, 4, Fraction(4, 243)),
                                      (2, 3, Fraction(1)), (3, 2, 0.5),
                                      (2, 4, Fraction(4, 3)),
@@ -335,14 +339,8 @@ def test_var_pu_row_states_is_the_enumerated_variance(m, n, k):
     for check in report["checks"]:
         if check["name"].startswith("var_pu"):
             eps = Fraction(check["name"][len("var_pu[eps="):-1])
-            assert (oracle._var_pu_row_states(m, n, Fraction(k), eps)
+            assert (var_pu_row_states(m, n, Fraction(k), eps)
                     == Fraction(check["oracle_value"]))
-
-
-def test_short_reports_skip_the_row_state_variance(monkeypatch):
-    # q^2n b^2mn is far below the digit limit, so nothing extra is computed
-    monkeypatch.setattr(oracle, "_var_pu_row_states", None)
-    assert verify_closed_forms(2, 3, Fraction(1, 7))["status"] == "PASS"
 
 
 def test_oracle_imports_nothing_from_gf2():
