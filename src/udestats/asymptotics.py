@@ -6,9 +6,9 @@ random family the growth rate is h(l) - (1 - R), the objective is
 -(1 - R) - D(l || eps), and the exponent is its closed form -(1 - R) at
 l = eps.  For the sparse Bernoulli family the objective is not concave,
 so every 1-D sup (the error exponent and the covariance growth rate)
-goes through `_sup_rows`: a global grid scan, then a zoom refinement of
-every local top together with the best point of the exponent's
-geometric tail below the grid, which is scanned in the grid's call; the
+goes through `_sup_rows`: a global grid scan, with the exponent's
+geometric tail below the grid as one increasing sequence in the grid's
+call, then a zoom refinement of every local top of that sequence; the
 exponent's l -> 0+ limit is compared last.  The Var[P_U] growth rate is
 one sup over the simplex of parity-row states; its best grid points are
 refined by the same zoom, on 3-D boxes.
@@ -41,20 +41,21 @@ import numpy as np
 from .ensemble import Bsc
 
 _TINY = np.finfo(float).tiny
-# Width at which a zoom box is done (relative to its point for the
-# exponent's geometric tail), and the cap on zoom calls.
+# Width at which a zoom box is done (relative to its top for a top below
+# the grid), and the cap on zoom calls.
 _REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 200
 # Interior points per box axis and zoom call.  A constant, so a box's
 # result does not depend on the others.  In 1-D, 127 narrows a bracket
 # 64x per call; a call on a few hundred points costs about what one on 15
-# does, so error_exponent takes 6 zoom calls, not 12.  255 points (128x,
-# 5 calls) measured no faster: each call then costs more.  In 3-D, 7 per
-# axis make 343 points a box, 4x narrower per call.
+# does, so an exponent top on the grid takes 4 zoom calls, not 8, and
+# one in its tail 6, not 12.  255 points (128x) measured no faster: each
+# call then costs more.  In 3-D, 7 per axis make 343 points a box, 4x
+# narrower per call.
 _ZOOM_POINTS = 127
 _BOX_POINTS = 7
-# A grid scan evaluates equal chunks of at most _GRID_CHUNK + 1 grid
-# points, and the tail points spread over them, per objective call, so a
+# A grid scan evaluates the tail and the grid in as many equal chunks as
+# the grid alone needs for at most _GRID_CHUNK + 1 points a call, so a
 # grid of _GRID_CHUNK steps is one call; a zoom
 # call takes at most _ZOOM_CELLS points.  The temporaries stay in cache,
 # and their memory is bounded whatever the number of boxes.
@@ -217,47 +218,42 @@ def _zoom(fn, lo, hi, tol, points):
 
 
 def _grid_tops(fn, lo, hi, cfg: OptimizerConfig, tail=np.empty(0)):
-    """Grid scan of the objective fn on [lo, hi], with the points `tail`
-    evaluated in the same calls.
+    """Grid scan of the objective fn on [lo, hi] and the points `tail`
+    below lo, as one increasing sequence, in the grid's calls.
 
-    Returns the first grid maximum, (argmax, value), the local tops of the
-    grid as brackets (a, b) of their two neighbours, in grid order, and
-    the values at `tail`.  A top is above its left neighbour and not below
-    its right one, so a run of tied points is one top, its first point.
-    An interval with hi <= lo is its point hi.
+    Returns the first maximum of the sequence, (argmax, value), and each
+    local top's zoom bracket (a, b) and tolerance, in order.  A top is
+    above its left neighbour and not below its right one, so a run of
+    tied points is one top, its first point.  Its bracket is its two
+    neighbours; below the lowest point x that is x / 2 if x < lo, else x
+    itself, and above the last grid point it is hi.  Its tolerance is
+    _REFINE_TOL, times x for a top x < lo.  An interval with hi <= lo is
+    its point hi, with no top and no tail.
     """
     if hi <= lo:
-        ys = fn(np.append(hi, tail))
-        return hi, ys[0], (np.empty(0), np.empty(0)), ys[1:]
+        return hi, fn(np.array([hi]))[0], (np.empty(0),) * 3
     pts = cfg.grid_points
-    xs = lo + np.arange(pts + 1) * ((hi - lo) / pts)
-    parts = -(-len(xs) // (_GRID_CHUNK + 1))
-    probes = np.append(xs, tail) if len(tail) else xs
-    ys = (fn(probes) if parts == 1 else
-          np.concatenate([fn(c) for c in np.array_split(probes, parts)]))
-    ys, tail_ys = ys[:pts + 1], ys[pts + 1:]
+    xs = np.append(np.sort(tail),
+                   lo + np.arange(pts + 1) * ((hi - lo) / pts))
+    parts = -(-(pts + 1) // (_GRID_CHUNK + 1))
+    ys = (fn(xs) if parts == 1 else
+          np.concatenate([fn(c) for c in np.array_split(xs, parts)]))
     top = int(np.argmax(ys))
     pad = [-np.inf]
     j = np.flatnonzero((ys > np.concatenate([pad, ys[:-1]]))
                        & (ys >= np.concatenate([ys[1:], pad])))
-    return xs[top], ys[top], (xs[np.maximum(j - 1, 0)],
-                              xs[np.minimum(j + 1, pts)]), tail_ys
+    below = np.append(xs[0] / 2.0 if xs[0] < lo else xs[0], xs[:-1])
+    x = xs[j]
+    return xs[top], ys[top], (below[j], np.append(xs[1:], hi)[j],
+                              _REFINE_TOL * np.where(x < lo, x, 1.0))
 
 
 def _sup_rows(fn, lo, hi, cfg: OptimizerConfig, tail=np.empty(0)):
-    """Global sup of the objective fn on [lo, hi] and its argmax: a grid
-    scan, then one refinement of every local top together with, when
-    `tail` points below lo are given, the bracket [x / 2, min(2 x, hi)] of
-    the best of them, x, to the relative width _REFINE_TOL.  The tail is
-    scanned in the grid's calls.  Candidates in order: the grid maximum,
-    the refined tops and the tail's; the first of the largest value
-    wins."""
-    x0, y0, (a, b), tail_ys = _grid_tops(fn, lo, hi, cfg, tail)
-    tol = np.full(len(a), _REFINE_TOL)
-    if len(tail):
-        x = float(tail[np.argmax(tail_ys)])
-        a, b, tol = np.append([a, b, tol], [[x / 2.0], [min(x * 2.0, hi)],
-                                            [_REFINE_TOL * x]], axis=1)
+    """Global sup of the objective fn on [lo, hi] and its argmax: the scan
+    of `_grid_tops`, then one zoom refinement of every local top it
+    returns.  Candidates in order: the scan's maximum and the refined
+    tops; the first of the largest value wins."""
+    x0, y0, (a, b, tol) = _grid_tops(fn, lo, hi, cfg, tail)
     x = _zoom(fn, a[:, None], b[:, None], tol, _ZOOM_POINTS)[:, 0]
     cx, cy = np.append(x0, x), np.append(y0, fn(x) if len(x) else [])
     top = int(np.argmax(cy))
@@ -274,7 +270,8 @@ def error_exponent(f: GrowthRate, eps: float,
     term <= 0, so the value is capped at 0.0 against rounding.  A curve
     h(l) + c (f.h_offset = c, the random family) has the objective
     c - D(l || eps): its sup is c, at l = eps, and no objective is
-    evaluated.  Any other curve takes the numeric sup on the grid of cfg.
+    evaluated.  Any other curve takes the numeric sup of `_sup_rows` on
+    the grid of cfg and a geometric tail below it, down to 1e-13.
     """
     if f.h_offset is not None:
         Bsc(eps)
@@ -283,8 +280,8 @@ def error_exponent(f: GrowthRate, eps: float,
     lo = 1.0 / cfg.grid_points
     # Geometric tail below the uniform grid, down to the first point
     # <= 1e-13: the objective can have an interior maximizer at vanishing
-    # l (infinite slope of h at 0).  Its best point is refined with the
-    # grid's local tops.
+    # l (infinite slope of h at 0).  Its local tops are refined with the
+    # grid's.
     tail = lo * 0.5 ** np.arange(1, 64)
     tail = tail[:np.argmax(tail <= 1e-13) + 1]
     value, x = _sup_rows(g.fn, lo, 1.0, cfg, tail=tail)

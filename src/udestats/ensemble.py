@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ class Bsc:
 class BernoulliEnsemble:
     """m x n binary matrices with i.i.d. entries, ones density p = k/n.
 
-    k is the average row weight, any positive real <= n/2; k = n/2 is the
-    uniform (random) ensemble.
+    k is the average row weight, any positive real <= n/2 whose float
+    p = k/n is a normal float, at least 2^-1022: a subnormal p carries too
+    few bits for the closed forms.  k = n/2 is the uniform (random)
+    ensemble.
     """
 
     m: int
@@ -75,8 +78,11 @@ class BernoulliEnsemble:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
-        if not 0 < self.k <= self.n / 2:
-            raise ValueError(f"need 0 < k <= n/2, got k={self.k}, n={self.n}")
+        if not self.p >= sys.float_info.min:
+            raise ValueError("need k > 0 with p = k/n >= 2^-1022, the "
+                             f"smallest normal float, got p={self.p:.3g}")
+        if not self.k <= self.n / 2:
+            raise ValueError(f"need k <= n/2, got k={self.k}, n={self.n}")
 
     @property
     def p(self) -> float:

@@ -347,10 +347,10 @@ def verify_closed_forms(m: int, n: int, k) -> dict:
     """
     _check_shape(m, n)
     k = _check_k(n, k)
+    analytic = BernoulliEnsemble(m, n, float(k))
     _check_digits(m, n,
                   _var_pu_denominator_bound(m, n, (k / n).denominator))
     n2, cov_n, den = _numerators(m, n, k)
-    analytic = BernoulliEnsemble(m, n, float(k))
     checks = []
     # _check_digits passes every value of at most 3 bits per digit of the
     # limit (0 is no limit)

@@ -381,20 +381,23 @@ def _zoom_loop(fn, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _sup_loop(fn, lo, hi, cfg):
-    """Grid scan plus zoom refinement of each local top, one point at a
-    time with `if y > best`: the reference for _sup_rows."""
+def _sup_loop(fn, lo, hi, cfg, tail=()):
+    """Scan of the tail and the grid as one increasing sequence plus zoom
+    refinement of each local top, one point at a time with
+    `if y > best`: the reference for _sup_rows."""
     if hi <= lo:
         return fn(hi)
     step = (hi - lo) / cfg.grid_points
-    xs = [lo + i * step for i in range(cfg.grid_points + 1)]
+    xs = sorted(tail) + [lo + i * step for i in range(cfg.grid_points + 1)]
     ys = [fn(x) for x in xs]
     best = max(ys)
     for i, y in enumerate(ys):
         if y > (ys[i - 1] if i else -math.inf) and \
                 y >= (ys[i + 1] if i + 1 < len(ys) else -math.inf):
-            x = _zoom_loop(fn, xs[max(i - 1, 0)],
-                           xs[min(i + 1, len(xs) - 1)], asy._REFINE_TOL)
+            x = xs[i]
+            a = xs[i - 1] if i else (x / 2 if x < lo else x)
+            b = xs[i + 1] if i + 1 < len(xs) else hi
+            x = _zoom_loop(fn, a, b, asy._REFINE_TOL * (x if x < lo else 1.0))
             if fn(x) > best:
                 best = fn(x)
     return best
@@ -450,6 +453,83 @@ def test_sup_rows_refines_an_extra_bracket(monkeypatch):
     assert abs(x - 0.30001) < 1e-11 and abs(value - (2.0 - 0.30001)) < 1e-5
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.4])
+def test_sup_rows_replays_the_loop_with_a_tail(eps):
+    # The fig-3 sparse objective with the exponent's geometric tail below
+    # the grid; at eps 0.01 its sup lies in the tail.
+    g = exponent_objective(growth_rate_bernoulli(0.3, 20.0), eps)
+    cfg = OptimizerConfig(grid_points=512)
+    lo = 1.0 / cfg.grid_points
+    tail = lo * 0.5 ** np.arange(1, 64)
+    tail = tail[:np.argmax(tail <= 1e-13) + 1]
+
+    def one(x):
+        return float(g.fn(np.array([x]))[0])
+    value, x = asy._sup_rows(g.fn, lo, 1.0, cfg, tail)
+    assert value == _sup_loop(one, lo, 1.0, cfg, list(tail))
+    assert x < lo or eps != 0.01
+
+
+def _zoom_spy(monkeypatch):
+    """Record the (lo, hi, tol) of every `_zoom` call."""
+    seen = []
+    zoom = asy._zoom
+
+    def spy(fn, lo, hi, tol, points):
+        seen.append((np.ravel(lo), np.ravel(hi), np.ravel(tol)))
+        return zoom(fn, lo, hi, tol, points)
+    monkeypatch.setattr(asy, "_zoom", spy)
+    return seen
+
+
+def test_a_tail_below_its_neighbour_takes_no_bracket(monkeypatch):
+    # The tail points rise into the grid, so the one top is the grid's
+    # last point, and no bracket reaches below the grid.
+    seen = _zoom_spy(monkeypatch)
+    cfg = OptimizerConfig(grid_points=64)
+    assert asy._sup_rows(lambda x: x, 0.5, 1.0, cfg,
+                         tail=np.array([0.25, 0.125])) == (1.0, 1.0)
+    (a, b, tol), = seen
+    assert list(a) == [0.5 + 63 * (0.5 / 64)] and list(b) == [1.0]
+    assert list(tol) == [asy._REFINE_TOL]
+
+
+def test_two_tops_below_the_grid_take_two_brackets(monkeypatch):
+    # sin(pi/2 log2 x) is 1 at the tail points 2^-11 and 2^-7 and
+    # 0 or -1 at those between; each is a top, bracketed by its
+    # neighbours (2^-12 below the lowest point) with a tolerance relative
+    # to it.  The grid [2^-6, 1] has its own tops, near 1/8 and at 1.
+    seen = _zoom_spy(monkeypatch)
+
+    def fn(x):
+        return np.sin(np.pi / 2 * np.log2(x))
+    cfg = OptimizerConfig(grid_points=64)
+    lo = 2.0 ** -6
+    tail = lo * 0.5 ** np.arange(1, 6)
+    value, _ = asy._sup_rows(fn, lo, 1.0, cfg, tail)
+    assert abs(value - 1.0) < 1e-15
+    (a, b, tol), = seen
+    assert list(a[:2]) == [2.0 ** -12, 2.0 ** -8]
+    assert list(b[:2]) == [2.0 ** -10, 2.0 ** -6]
+    assert list(tol) == [asy._REFINE_TOL * 2.0 ** -11,
+                         asy._REFINE_TOL * 2.0 ** -7] + [asy._REFINE_TOL] * 2
+    assert a[2] < 0.125 < b[2] and b[3] == 1.0
+
+
+def test_a_spike_below_lo_is_found_from_the_top_at_lo():
+    # The grid falls from its top at lo = 0.5, and the tail points 0.1
+    # and 0.2 lie below it; a spike at 0.45, narrower than a grid step
+    # and clear of every tail point, lies in the bracket [0.2, lo + step]
+    # of the top at lo, but not in [x / 2, 2 x] of the best tail point.
+    def fn(x):
+        return (2.0 * np.maximum(0.0, 1.0 - np.abs(x - 0.45) / 0.005)
+                - np.abs(x - 0.5))
+    cfg = OptimizerConfig(grid_points=64)
+    assert asy._sup_rows(fn, 0.5, 1.0, cfg) == (0.0, 0.5)
+    value, x = asy._sup_rows(fn, 0.5, 1.0, cfg, tail=np.array([0.1, 0.2]))
+    assert abs(x - 0.45) < 1e-9 and abs(value - 1.95) < 1e-9
+
+
 def test_l2_one_rows_take_no_bracket(monkeypatch):
     # The overlap range [l1 + l2 - 1, l1] is the point l1 when l2 = 1, but
     # l1 + 1.0 - 1.0 rounds below l1 for some l1 (1/48 among them); such a
@@ -497,10 +577,17 @@ def _fig3_growth(family, R):
 def test_error_exponent_call_budget(monkeypatch):
     # Over the fig-3 grid: the random family is its closed form and calls
     # no objective.  The sparse one makes one grid call that also scans
-    # the tail, six zoom calls (the tail bracket narrows 1.5e10x, 64x a
-    # call) and one at the refined points.
-    calls = []
+    # the tail, four zoom calls for a top on the grid (its bracket narrows
+    # 4.9e6x, 64x a call), six when a top lies in the tail (1.5e10x,
+    # relative to the top), and one at the refined points.
+    calls, tail_tops = [], []
     objective = asy.exponent_objective
+    grid_tops = asy._grid_tops
+
+    def spy(*args):
+        out = grid_tops(*args)
+        tail_tops.append((out[2][2] < asy._REFINE_TOL).any())
+        return out
 
     def counted(f, eps):
         g = objective(f, eps)
@@ -510,12 +597,19 @@ def test_error_exponent_call_budget(monkeypatch):
             return g.fn(l)
         return asy.GrowthRate(fn, g.limit0)
     monkeypatch.setattr(asy, "exponent_objective", counted)
+    monkeypatch.setattr(asy, "_grid_tops", spy)
+    grid_only = 0
     for family, budget in (("random", 0), ("bernoulli", 8)):
         for R in (0.3, 0.5, 0.7, 0.9):
             for i in range(1, 50):
                 calls.clear()
+                tail_tops.clear()
                 error_exponent(_fig3_growth(family, R), i / 100, FIG3_CFG)
                 assert len(calls) <= budget, (family, R, i, calls)
+                if family == "bernoulli" and not tail_tops[0]:
+                    grid_only += 1
+                    assert len(calls) <= 6, (R, i, calls)
+    assert grid_only > 0
 
 
 def test_grid_tops_scans_a_chunk_plus_one_in_one_call():

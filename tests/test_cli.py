@@ -287,6 +287,21 @@ def test_domain_errors_exit_nonzero(capsys, monkeypatch):
     assert (2, 4) not in enumerated
 
 
+@pytest.mark.parametrize("command", [("oracle",), ("avg-pu", "--eps", "0.1")])
+def test_subnormal_density_exits_with_one_error_line(capsys, command):
+    # At k = 1e-320, n = 3 the oracle report used to read FAIL; p = k/n
+    # exactly 2^-1022 is accepted.
+    for k in ("1e-320", "1e-315"):
+        code, out, err = run_cli(capsys, *command, "--m", "2", "--n", "3",
+                                 "--k", k)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "p = k/n >= 2^-1022" in err
+    code, _, _ = run_cli(capsys, "avg-pu", "--m", "1", "--n", "2", "--k",
+                         f"1/{2 ** 1021}", "--eps", "0.1")
+    assert code == 0
+
+
 @pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
 def test_oracle_refuses_a_report_past_the_digit_limit(capsys, m, n):
     # p = 1/3^281 passes the up-front bound, which sees no 2 or 5 in b,

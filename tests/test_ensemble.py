@@ -54,6 +54,18 @@ def test_parameter_validation():
     assert ens.is_random and ens.p == 0.5 and ens.z == 0.0
 
 
+def test_subnormal_density_is_refused():
+    # A float p = k/n below 2^-1022 is subnormal: at k = 1e-320, n = 3 it
+    # carries about 10 bits, and the closed forms missed the oracle by
+    # 4.9e-4.  p exactly at the bound is accepted.
+    for m, n, k in [(2, 3, 1e-320), (2, 3, 1e-315),
+                    (1, 1, math.nextafter(sys.float_info.min, 0.0))]:
+        with pytest.raises(ValueError, match=r"p = k/n >= 2\^-1022"):
+            BernoulliEnsemble(m, n, k)
+    assert BernoulliEnsemble(1, 1, sys.float_info.min).p == 2.0 ** -1022
+    assert BernoulliEnsemble(1, 2, 2.0 ** -1021).p == 2.0 ** -1022
+
+
 def test_worked_example_moments():
     ens = BernoulliEnsemble(1, 2, 0.5)
     assert math.isclose(avg_weight(ens, 1).to_float(), 1.5, rel_tol=1e-15)

@@ -319,6 +319,22 @@ def test_shape_is_checked_first(monkeypatch):
                 run(m, n, 1)
 
 
+@pytest.mark.parametrize("m, n, k", [(1, 2, Fraction(2, 3 ** 2250)),
+                                     (2, 3, Fraction("1e-320"))])
+def test_subnormal_density_is_refused_before_enumerating(monkeypatch, m, n,
+                                                         k):
+    # A positive k whose float underflows, or whose float p = k/n is
+    # subnormal, is refused by the analytic side's ensemble with the
+    # bound, before the numerators.  The exact enumeration takes it.
+    def reached(*args):
+        raise AssertionError("enumerated")
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_numerators", reached)
+        with pytest.raises(ValueError, match=r"p = k/n >= 2\^-1022"):
+            verify_closed_forms(m, n, k)
+    assert enumerate_ensemble(m, n, k).e_aw[1] == avg_weight_exact(m, n, k, 1)
+
+
 @pytest.mark.parametrize("m, n", [(1, 16), (2, 8)])
 def test_digit_limit_is_checked_on_printed_integers(m, n):
     # b = 3^281 is coprime to 10, so the up-front bound on Var[P_U]'s
