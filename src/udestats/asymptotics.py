@@ -13,11 +13,12 @@ exponent's l -> 0+ limit is compared last.  The Var[P_U] growth rate is
 one sup over the simplex of parity-row states; its best grid points are
 refined by the same zoom, on 3-D boxes.
 
-There is one zoom, `_zoom`, in d dimensions: each call of the objective
-samples every live box at a fixed number of points per axis, 127 in 1-D
-and 7 in 3-D, and shrinks each box around its best point, 64x or 4x,
-until it is _REFINE_TOL wide.  Every objective takes arrays; a call
-from `_zoom` takes at most _GRID_CHUNK + 1 points, and one from
+There is one zoom, `_zoom`, in d dimensions: it zooms a block of boxes
+in place until its last box is done.  Each call of the objective samples
+every box of the block at a fixed number of points per axis, 127 in 1-D
+and 7 in 3-D, and shrinks each box still going around its best point,
+64x or 4x, until it is _REFINE_TOL wide.  Every objective takes arrays;
+a call from `_zoom` takes at most _GRID_CHUNK + 1 points, and one from
 `_grid_tops` as many plus the tail (at most 63).
 Ranges are checked by the types that own them: eps by `Bsc`, R and k by
 `RatePoint`, the grid by `OptimizerConfig`, a normalized weight by
@@ -180,40 +181,36 @@ def _zoom(fn, lo, hi, tol, points):
     down to sides <= tol_i; returns the box midpoints, shape (boxes, d).
 
     The one zoom, in d dimensions.  Each call fn(x_1, ..., x_d) samples
-    `points` evenly spaced interior points per axis of every live box, in
-    blocks of at most _ZOOM_CELLS points, and each box shrinks on every
-    axis to the neighbours of its first best point.  A box is done when
-    every side is <= tol_i, when no side shrank (float resolution), or
-    after _REFINE_MAX_ITER calls.  No probe leaves its box, and a box's
-    result does not depend on which others share the call.
+    `points` evenly spaced interior points per axis of every box of a
+    block of at most _ZOOM_CELLS points, and each box still going shrinks
+    on every axis to the neighbours of its first best point.  A box is
+    done when every side is <= tol_i, when no side shrank (float
+    resolution), or after _REFINE_MAX_ITER calls; it stays in place, its
+    probes unused, until the block's last box is done.  No probe leaves
+    its box, and a box's result does not depend on which others share
+    the call.
     """
     box = np.array([lo, hi], dtype=float).transpose(1, 0, 2)
     d = box.shape[2]
-    tol = np.broadcast_to(tol, len(box))
+    tol = np.broadcast_to(tol, len(box))[:, None]
     probes, around = _zoom_fractions(points, d)
-    todo = (box[:, 1] - box[:, 0] > tol[:, None]).any(1).nonzero()[0]
     block = _ZOOM_CELLS // len(probes)
-    for s in range(0, len(todo), block):
-        # The live boxes of a block, kept compact; a box is written back
-        # when it is done.
-        live = todo[s:s + block]
-        cur, ltol = box[live], tol[live, None]
+    for s in range(0, len(box), block):
+        cur, btol = box[s:s + block], tol[s:s + block]
+        going = (cur[:, 1] - cur[:, 0] > btol).any(1)
         for _ in range(_REFINE_MAX_ITER):
+            if not going.any():
+                break
             lo, hi = cur[:, :1], cur[:, 1:]
             width = hi - lo
             # lo + f width >= lo for f, width >= 0; only hi needs a clip:
             # lo + (hi - lo) can round above hi.
             xs = np.minimum(lo + probes * width, hi)
-            top = fn(*xs.reshape(-1, d).T).reshape(len(live), -1).argmax(1)
-            cur = np.minimum(lo + around[top] * width, hi)
-            side = cur[:, 1] - cur[:, 0]
-            going = (side < width[:, 0]).any(1) & (side > ltol).any(1)
-            if not going.all():
-                box[live[~going]] = cur[~going]
-                live, cur, ltol = live[going], cur[going], ltol[going]
-                if not len(live):
-                    break
-        box[live] = cur
+            top = fn(*xs.reshape(-1, d).T).reshape(len(cur), -1).argmax(1)
+            new = np.minimum(lo + around[top] * width, hi)
+            cur[going] = new[going]
+            side = new[:, 1] - new[:, 0]
+            going &= (side < width[:, 0]).any(1) & (side > btol).any(1)
     return 0.5 * (box[:, 0] + box[:, 1])
 
 

@@ -38,17 +38,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(args, header: list[str], rows: list[list], doc=None) -> None:
-    """Rows as CSV (a cell that holds a comma or quote is quoted), or with
-    --json as records; with --json a given `doc` is written in place of
-    the records."""
+def _emit(args, header: list[str], rows, doc=None) -> None:
+    """Rows (any iterable, formatted as written) as CSV (a cell that
+    holds a comma or quote is quoted), or with --json as records; with
+    --json a given `doc` is written in place of the records."""
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        formatted = [[_fmt(v) for v in row] for row in rows]
+        formatted = ([_fmt(v) for v in row] for row in rows)
         if args.json:
             if doc is None:
                 doc = [dict(zip(header, row)) for row in formatted]
-            json.dump(doc, out, indent=2)
+            json.dump(doc, out, indent=2, allow_nan=False)
             out.write("\n")
         else:
             writer = csv.writer(out, lineterminator="\n")
@@ -125,8 +125,8 @@ def _cmd_cov(args) -> None:
                 + _log_lin(ens_mod.cov_weight(ens, args.w1, args.w2))]
     else:
         cov = ens_mod.cov_matrix(ens)
-        rows = [[w1, w2] + _log_lin(LogReal(float(cov[w1, w2])))
-                for w1 in range(1, ens.n + 1) for w2 in range(1, ens.n + 1)]
+        rows = ([w1, w2] + _log_lin(LogReal(float(cov[w1, w2])))
+                for w1 in range(1, ens.n + 1) for w2 in range(1, ens.n + 1))
     _emit(args, ["w1", "w2", "log2_cov", "cov"], rows)
 
 
@@ -234,7 +234,7 @@ def _cmd_fig(args) -> None:
         header = ["l", "f_random", "f_bernoulli"]
         rows = _curves([asy.growth_rate_random(0.5),
                         asy.growth_rate_bernoulli(0.5, 20.0)], 512)
-    elif num in (5, 6):
+    else:
         ensembles = (BernoulliEnsemble.random(20, 40),
                      BernoulliEnsemble(20, 40, 5.0))
         name = "mean_pu" if num == 5 else "var_pu"
@@ -248,8 +248,6 @@ def _cmd_fig(args) -> None:
                 row += _log_lin(ens_mod.var_pu_from_cov(ens, covs[i], eps)
                                 if covs else ens_mod.avg_pu(ens, Bsc(eps)))
             rows.append(row)
-    else:
-        raise ValueError(f"unknown figure {num}")
     _emit(args, header, rows)
 
 

@@ -425,6 +425,32 @@ def test_zoom_refine_replays_the_loop(calls):
     assert x == expect
 
 
+def test_box_zoom_replays_one_box_per_call():
+    # 3-D boxes, two blocks of them, zoomed in one call or each in a call
+    # of its own: a box's result must not depend on which others share
+    # the call.  One box is already narrower than its tolerance, and one
+    # has tol 0.
+    p = np.array([0.3, 0.6, 0.2])
+
+    def fn(x, y, z):
+        r = (x - p[0]) - 2.0 * (y - p[1]) + (z - p[2])
+        return -((x - p[0]) ** 2 + (y - p[1]) ** 2 + (z - p[2]) ** 2
+                 + 50.0 * r * r) + 0.01 * np.exp(-40.0 * x * z)
+    rng = np.random.default_rng(37)
+    boxes = 2 * (asy._ZOOM_CELLS // asy._BOX_POINTS ** 3) - 3
+    lo = rng.uniform(0.0, 0.5, (boxes, 3))
+    hi = lo + rng.uniform(1e-3, 0.5, (boxes, 3))
+    tol = np.full(boxes, 1e-10)
+    hi[1] = lo[1] + 1e-11
+    lo[2], hi[2], tol[2] = 1e-9, 2e-9, 0.0
+    tol[3] = 1e-4
+    x = asy._zoom(fn, lo, hi, tol, asy._BOX_POINTS)
+    one = np.concatenate([asy._zoom(fn, lo[i:i + 1], hi[i:i + 1], tol[i],
+                                    asy._BOX_POINTS) for i in range(boxes)])
+    assert np.array_equal(x, one)
+    assert np.array_equal(x[1], 0.5 * (lo[1] + hi[1]))
+
+
 def test_sup_rows_replays_the_loop():
     # The sparse exponent objective at several eps, on intervals that
     # include a single point (hi <= lo).

@@ -667,6 +667,60 @@ def test_cov_matrix_output_matches_single_pairs(capsys):
         assert single == [row]
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["csv", "json"])
+def test_cov_table_matches_a_materialized_table(capsys, fmt):
+    # The full table is formatted and written row by row; its bytes are
+    # those of the table built first and then written.
+    from udestats.ensemble import BernoulliEnsemble, cov_matrix
+    header = ["w1", "w2", "log2_cov", "cov"]
+    cov = cov_matrix(BernoulliEnsemble(3, 9, 1.5))
+    rows = [[str(w1), str(w2)]
+            + [cli._fmt(v) for v in cli._log_lin(LogReal(float(cov[w1, w2])))]
+            for w1 in range(1, 10) for w2 in range(1, 10)]
+    if fmt:
+        want = json.dumps([dict(zip(header, r)) for r in rows], indent=2)
+        want += "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        want = buf.getvalue()
+    code, out, err = run_cli(capsys, "cov", "--m", "3", "--n", "9", "--k",
+                             "1.5", *fmt)
+    assert code == 0 and err == "" and out == want
+
+
+def test_cov_table_memory_does_not_grow_with_its_rows(tmp_path):
+    # At n = 300 the 90,000 rows took a 43 MiB peak when all were built
+    # before writing; written as formatted, the peak is that of
+    # cov_matrix, about 4 MiB.
+    out = tmp_path / "cov.csv"
+    tracemalloc.start()
+    try:
+        code = main(["cov", "--m", "10", "--n", "300", "--k", "5", "-o",
+                     str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text().count("\n") == 1 + 300 * 300
+    assert peak < 12 << 20, peak
+
+
+def test_json_refuses_a_non_finite_value(capsys, monkeypatch):
+    # oracle --json writes its report as it is; a non-finite value in it
+    # is an error, as it is in CSV, not a NaN token.
+    report = {"checks": [{"name": "x", "oracle_value": "0",
+                          "analytic_value": math.nan, "rel_err": math.nan,
+                          "status": "FAIL"}],
+              "max_rel_err": math.nan, "status": "FAIL"}
+    monkeypatch.setattr(oracle, "verify_closed_forms", lambda m, n, k: report)
+    for fmt in [(), ("--json",)]:
+        code, _, err = run_cli(capsys, "oracle", "--m", "2", "--n", "3",
+                               "--k", "1", *fmt)
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_failed_cross_check_is_one_error_line(capsys, monkeypatch):
     import udestats.ensemble as ens_mod
     monkeypatch.setattr(ens_mod, "_avg_pu_random_closed",
